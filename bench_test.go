@@ -8,66 +8,30 @@
 //	BenchmarkRuleBaseScaling — ablation: entrypoint chains vs linear scan
 //
 // Run with: go test -bench=. -benchmem
-// The cmd/pfbench tool prints the same data in the paper's table layout.
+// Table 6, the rule-scale sweep and the parallel hot paths loop over the
+// cmd/pfbench cell registry (internal/lmbench), so the benchmarks and the
+// harness measure the same bodies; pfbench adds the paired rounds,
+// intervals, gates and the paper's table layout.
 package pfirewall_test
 
 import (
 	"fmt"
-	"os"
+	"strings"
 	"sync"
 	"testing"
 
 	"pfirewall/internal/kernel"
 	"pfirewall/internal/lmbench"
-	"pfirewall/internal/obs"
 	"pfirewall/internal/pf"
 	"pfirewall/internal/programs"
-	"pfirewall/internal/rulegen"
 	"pfirewall/internal/safeopen"
 	"pfirewall/internal/webbench"
 )
 
-// parallelBenchWorld builds the fully optimized world the parallel
-// benchmarks run against. PFBENCH_OBS=1 additionally attaches the metrics
-// layer, so `PFBENCH_OBS=1 go test -bench=BenchmarkParallel` measures the
-// observability-enabled hot path against the same benchmark baseline (the
-// `make bench-smoke` comparison).
-func parallelBenchWorld(b *testing.B) *programs.World {
-	b.Helper()
-	cfg := pf.Optimized()
-	wopts := programs.WorldOpts{PF: &cfg}
-	if os.Getenv("PFBENCH_OBS") == "1" {
-		wopts.Obs = obs.New()
-	}
-	w := programs.NewWorld(wopts)
-	if _, err := w.InstallRules(lmbench.SyntheticRuleBase(lmbench.FullRuleBaseSize)); err != nil {
-		b.Fatal(err)
-	}
-	return w
-}
-
 // BenchmarkTable6 measures each syscall workload under each firewall
-// configuration; compare ns/op across configs to reproduce Table 6's
-// overhead columns.
-func BenchmarkTable6(b *testing.B) {
-	for _, wl := range lmbench.Workloads() {
-		for _, cfg := range lmbench.Configs() {
-			b.Run(fmt.Sprintf("%s/%s", wl.Name, cfg.Name), func(b *testing.B) {
-				w := lmbench.World(cfg)
-				p := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
-				for f := 0; f < 16; f++ {
-					p.PushFrame(programs.BinSshd, uint64(0x100+f*0x10))
-				}
-				p.SyscallSite(programs.BinSshd, 0x300)
-				body := wl.Setup(w, p)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					body()
-				}
-			})
-		}
-	}
-}
+// configuration (the registry's table6 cells); compare ns/op across
+// configs to reproduce Table 6's overhead columns.
+func BenchmarkTable6(b *testing.B) { benchCells(b, "table6/", false) }
 
 // BenchmarkTable7 measures the macrobenchmarks. Apache-build units and
 // boot services are fixed per iteration so ns/op is comparable across
@@ -183,42 +147,12 @@ func BenchmarkRuleBaseScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkRuleScale measures generic-rule scaling: the mediated open+close
-// pair against the deployment-scale generated rule base, with the
+// BenchmarkRuleScale measures generic-rule scaling: the mediated
+// open+close pair against the generated rule base at each size, with the
 // publish-time dispatch index off ("linear" — the paper's EPTSPC
 // configuration) and on ("compiled"). Compiled dispatch should stay near
-// flat as the rule count grows. The 10,000-rule cells are gated behind
-// PFBENCH_RULESCALE=1 (like the PFBENCH_OBS benches) so a blanket
-// `go test -bench .` stays fast; `pfbench -rulescale` always runs them.
-func BenchmarkRuleScale(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		ruleIndex bool
-	}{{"linear", false}, {"compiled", true}} {
-		for _, nrules := range rulegen.ScaleSizes {
-			b.Run(fmt.Sprintf("%s/rules=%d", mode.name, nrules), func(b *testing.B) {
-				if nrules > 1200 && os.Getenv("PFBENCH_RULESCALE") != "1" {
-					b.Skip("set PFBENCH_RULESCALE=1 for the 10k-rule cells")
-				}
-				cfg := pf.Config{CtxCache: true, LazyCtx: true, EptChains: true, RuleIndex: mode.ruleIndex}
-				w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-				if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, nrules)); err != nil {
-					b.Fatal(err)
-				}
-				p := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
-				p.SyscallSite(programs.BinSshd, 0x300)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					p.Close(fd)
-				}
-			})
-		}
-	}
-}
+// flat as the rule count grows.
+func BenchmarkRuleScale(b *testing.B) { benchCells(b, "rulescale/", true) }
 
 // BenchmarkParallelOpen measures the mediated open+close hot path with b.N
 // split across g goroutines, each driving its own process (per-process
@@ -227,50 +161,7 @@ func BenchmarkRuleScale(b *testing.B) {
 // hit concurrently; because every one of them is published through an
 // atomic pointer, ns/op should fall toward 1/cores as g grows on multicore
 // hardware (and stay flat on one core).
-func BenchmarkParallelOpen(b *testing.B) {
-	for _, g := range lmbench.ParallelFanout {
-		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			w := parallelBenchWorld(b)
-			procs := make([]*kernel.Proc, g)
-			for i := range procs {
-				p := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
-				for f := 0; f < 16; f++ {
-					p.PushFrame(programs.BinSshd, uint64(0x100+f*0x10))
-				}
-				p.SyscallSite(programs.BinSshd, 0x300)
-				// Warm the per-process context caches so the timed region
-				// measures steady state.
-				fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.Close(fd)
-				procs[i] = p
-			}
-			per := b.N / g
-			if per == 0 {
-				per = 1
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i := 0; i < g; i++ {
-				wg.Add(1)
-				go func(p *kernel.Proc) {
-					defer wg.Done()
-					for n := 0; n < per; n++ {
-						fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						p.Close(fd)
-					}
-				}(procs[i])
-			}
-			wg.Wait()
-		})
-	}
-}
+func BenchmarkParallelOpen(b *testing.B) { benchCells(b, "parallel/open+close/", false) }
 
 // BenchmarkParallelWeb holds the total request count fixed and varies the
 // client concurrency, so ns/op isolates how the mediation stack behaves as
@@ -302,67 +193,47 @@ func BenchmarkParallelWeb(b *testing.B) {
 // listener. The namespace registry and the PF ruleset are shared across
 // all goroutines; both are published through atomic pointers, so the read
 // side scales like the open path in BenchmarkParallelOpen.
-func BenchmarkParallelIPC(b *testing.B) {
-	for _, g := range lmbench.ParallelFanout {
-		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			w := parallelBenchWorld(b)
-			type pair struct {
-				daemon, client *kernel.Proc
-				sfd            int
-				name           string
+func BenchmarkParallelIPC(b *testing.B) { benchCells(b, "ipc/abstract/", false) }
+
+// benchCells runs the registry cells under prefix as sub-benchmarks named
+// by the rest of the cell name: side B, and with baseline also side A
+// (then each sub-benchmark adds the side name). b.N is split across the
+// side's goroutines.
+func benchCells(b *testing.B, prefix string, baseline bool) {
+	for _, c := range lmbench.Cells(false) {
+		name, ok := strings.CutPrefix(c.Name, prefix)
+		if !ok {
+			continue
+		}
+		sides := []lmbench.Side{c.B}
+		if baseline && c.A != nil {
+			sides = []lmbench.Side{*c.A, c.B}
+		}
+		for _, side := range sides {
+			sub := name
+			if len(sides) > 1 {
+				sub += "/" + side.Name
 			}
-			pairs := make([]pair, g)
-			for i := range pairs {
-				daemon := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "dbusd_t", Exec: programs.BinDbusD})
-				client := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
-				client.SyscallSite(programs.BinSshd, 0x300)
-				name := fmt.Sprintf("bench-ipc-%d", i)
-				sfd, err := daemon.BindAbstract(name)
-				if err != nil {
-					b.Fatal(err)
+			b.Run(sub, func(b *testing.B) {
+				inst := side.Setup()
+				if inst.Done != nil {
+					defer inst.Done()
 				}
-				if err := daemon.Listen(sfd, 16); err != nil {
-					b.Fatal(err)
+				per := (b.N + len(inst.Bodies) - 1) / len(inst.Bodies)
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for _, body := range inst.Bodies {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for n := 0; n < per; n++ {
+							body()
+						}
+					}()
 				}
-				pairs[i] = pair{daemon: daemon, client: client, sfd: sfd, name: name}
-			}
-			req := []byte("GET job\n")
-			per := b.N / g
-			if per == 0 {
-				per = 1
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i := 0; i < g; i++ {
-				wg.Add(1)
-				go func(pr pair) {
-					defer wg.Done()
-					for n := 0; n < per; n++ {
-						cfd, err := pr.client.ConnectAbstract(pr.name)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						afd, err := pr.daemon.Accept(pr.sfd)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if _, err := pr.client.Send(cfd, req); err != nil {
-							b.Error(err)
-							return
-						}
-						if _, err := pr.daemon.Recv(afd, 0); err != nil {
-							b.Error(err)
-							return
-						}
-						pr.client.Close(cfd)
-						pr.daemon.Close(afd)
-					}
-				}(pairs[i])
-			}
-			wg.Wait()
-		})
+				wg.Wait()
+			})
+		}
 	}
 }
 

@@ -1,67 +1,19 @@
-// alloc.go measures the allocation behavior of the mediated hot path: the
-// number of heap allocations and bytes per operation on a fully armed world
-// (EPTSPC configuration, deployment-scale rule base), plus tail latency.
-// The pooled request/scratch design is supposed to make the steady-state
-// mediation path allocation-free; this harness is the evidence, and the
-// bench-alloc-smoke CI gate holds the line at exactly zero for the
-// open+close and stat workloads.
+// alloc.go profiles the allocation behavior of the mediated hot path: heap
+// allocations and bytes per operation on a fully armed world (EPTSPC
+// configuration, deployment-scale rule base). The pooled request/scratch
+// design is supposed to make the steady-state mediation path
+// allocation-free; TestZeroAllocHotPath holds open+close and stat at
+// exactly zero, and these cells report the figure for every body.
 package lmbench
 
 import (
-	"fmt"
-	"runtime"
-	"sort"
-	"strings"
-	"time"
-
 	"pfirewall/internal/kernel"
-	"pfirewall/internal/pf"
 	"pfirewall/internal/programs"
 )
 
-// readMem opens a measured interval: it forces a GC first so the cycle's
-// own bookkeeping allocations land before the snapshot, then reads the
-// allocator counters. Close the interval with readMemNow — a second forced
-// GC would charge its ~4 internal allocations to the interval.
-func readMem() runtime.MemStats {
-	runtime.GC()
-	return readMemNow()
-}
-
-// readMemNow reads the allocator counters without disturbing them; Mallocs
-// and TotalAlloc are monotonic, so no GC is needed for an accurate delta.
-func readMemNow() runtime.MemStats {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m
-}
-
-// AllocCell is one workload's allocation profile on the armed hot path.
-type AllocCell struct {
-	Workload string `json:"workload"`
-	Ops      int    `json:"ops"`
-	// NsPerOp comes from a tight loop with no per-op instrumentation, so it
-	// is directly comparable to the Table 6 / hotpath numbers.
-	NsPerOp float64 `json:"ns_per_op"`
-	// P50Ns/P99Ns come from a second, per-op-timed loop over the same body;
-	// the clock reads add a fixed overhead to every sample but leave the
-	// tail shape intact.
-	P50Ns       float64 `json:"p50_ns"`
-	P99Ns       float64 `json:"p99_ns"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-}
-
-// AllocReport is the full allocation-profile run.
-type AllocReport struct {
-	BenchEnv
-	Rules int         `json:"rules"`
-	Cells []AllocCell `json:"cells"`
-}
-
 // allocWorkloads are the profiled bodies. The first four exercise the
 // pooled single-syscall path (expected: zero allocations in steady state);
-// the mmsg rows exercise the batched burst path, where one syscall's
+// the mmsg row exercises the batched burst path, where one syscall's
 // gauntlet setup is amortized over eight per-message checks (the receive
 // side hands out data slices, so only the send burst can reach zero).
 var allocWorkloads = []struct {
@@ -75,13 +27,7 @@ var allocWorkloads = []struct {
 		return func() { p.Stat("/etc/passwd") }
 	}},
 	{"open+close", func(w *programs.World, p *kernel.Proc) func() {
-		return func() {
-			fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-			if err != nil {
-				panic(err)
-			}
-			p.Close(fd)
-		}
+		return func() { openClose(p) }
 	}},
 	{"fstat", func(w *programs.World, p *kernel.Proc) func() {
 		fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
@@ -116,82 +62,16 @@ var allocWorkloads = []struct {
 	}},
 }
 
-// RunAlloc profiles each workload for iters operations on an Optimized
-// engine carrying the deployment-scale rule base.
-func RunAlloc(iters int) AllocReport {
-	if iters < 100 {
-		iters = 100
-	}
-	rep := AllocReport{
-		BenchEnv: Env(),
-		Rules:    FullRuleBaseSize,
-	}
+// allocCells profile each body on the armed world. GOMAXPROCS is pinned
+// to one so background goroutines (GC workers, timers) stay out of the
+// allocation counters, as testing.AllocsPerRun does.
+func allocCells() []Cell {
+	var out []Cell
 	for _, wl := range allocWorkloads {
-		cfg := pf.Optimized()
-		w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-		if _, err := w.InstallRules(SyntheticRuleBase(FullRuleBaseSize)); err != nil {
-			panic(err)
-		}
-		p := benchProc(w)
-		body := wl.setup(w, p)
-
-		// Warm: fill the per-process scratch pools and the entrypoint cache
-		// so the measured interval sees only steady-state behavior.
-		for i := 0; i < 64; i++ {
-			body()
-		}
-
-		// Pass 1 — tight loop: mean ns/op and the allocation counters.
-		// Pinning to one P for the counted interval keeps background
-		// goroutine allocations (GC workers, timers) out of the delta,
-		// exactly as testing.AllocsPerRun does.
-		prev := runtime.GOMAXPROCS(1)
-		m0 := readMem()
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			body()
-		}
-		elapsed := time.Since(start)
-		m1 := readMemNow()
-		runtime.GOMAXPROCS(prev)
-
-		// Pass 2 — per-op timing for the percentiles. The sample slice is
-		// allocated before the loop so it does not pollute anything.
-		samples := iters
-		if samples > 20000 {
-			samples = 20000
-		}
-		lat := make([]float64, samples)
-		for i := range lat {
-			t0 := time.Now()
-			body()
-			lat[i] = float64(time.Since(t0).Nanoseconds())
-		}
-		sort.Float64s(lat)
-
-		rep.Cells = append(rep.Cells, AllocCell{
-			Workload:    wl.name,
-			Ops:         iters,
-			NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
-			P50Ns:       lat[samples/2],
-			P99Ns:       lat[samples*99/100],
-			AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(iters),
-			BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(iters),
-		})
+		out = append(out, Cell{Name: "alloc/" + wl.name, Procs: 1, B: Side{Name: "armed", Setup: func() Instance {
+			w := armedWorld()
+			return Instance{Bodies: []func(){wl.setup(w, benchProc(w))}}
+		}}})
 	}
-	return rep
-}
-
-// FormatAlloc renders the allocation profile as a table.
-func FormatAlloc(rep AllocReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %10s %10s %10s %12s %10s\n",
-		"workload", "ns/op", "p50 ns", "p99 ns", "allocs/op", "B/op")
-	for _, c := range rep.Cells {
-		fmt.Fprintf(&b, "%-12s %10.0f %10.0f %10.0f %12.3f %10.1f\n",
-			c.Workload, c.NsPerOp, c.P50Ns, c.P99Ns, c.AllocsPerOp, c.BytesPerOp)
-	}
-	fmt.Fprintf(&b, "(Optimized engine, %d-rule base; allocs/op must be 0 on the single-syscall file rows)\n",
-		rep.Rules)
-	return b.String()
+	return out
 }

@@ -8,34 +8,10 @@ package lmbench
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"pfirewall/internal/kernel"
-	"pfirewall/internal/pf"
 	"pfirewall/internal/programs"
 )
-
-// IPCCell is one (namespace, fan-out) measurement; an "op" is one complete
-// round trip (connect + accept + two sends + two recvs + two closes).
-type IPCCell struct {
-	Namespace  string  `json:"namespace"`
-	Goroutines int     `json:"goroutines"`
-	Ops        int     `json:"ops"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	// Allocation rate over the measured interval (MemStats deltas). The
-	// data plane hands out received byte slices, so IPC cells are not
-	// zero-alloc; the number tracks the mediation overhead trend.
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-}
-
-// IPCReport is the full IPC scaling run.
-type IPCReport struct {
-	BenchEnv
-	Cells []IPCCell `json:"cells"`
-}
 
 // ipcNamespaces are the three rendezvous spaces: filesystem sockets walk
 // the vfs on every connect, the abstract and port namespaces only touch
@@ -57,7 +33,7 @@ var ipcReply = []byte("OK job\n")
 // this pair index and returns the ready-to-run pairing.
 func newIPCPair(w *programs.World, ns string, i int) ipcPair {
 	daemon := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "dbusd_t", Exec: programs.BinDbusD})
-	client := parallelProc(w)
+	client := benchProc(w)
 	var sfd int
 	var err error
 	var connect func() (int, error)
@@ -116,76 +92,32 @@ func (pr ipcPair) roundTrip() {
 	pr.daemon.Close(afd)
 }
 
-// RunIPC measures each namespace at each fan-out, itersPerGoroutine round
-// trips per goroutine, on a fully armed world (EPTSPC configuration with
-// the deployment-scale rule base).
-func RunIPC(itersPerGoroutine int, fanout []int) IPCReport {
-	if itersPerGoroutine < 1 {
-		itersPerGoroutine = 1
-	}
-	rep := IPCReport{BenchEnv: Env()}
+// ipcCells measures each namespace at each fan-out on a fully armed world
+// (EPTSPC configuration with the deployment-scale rule base); one op is
+// one complete round trip.
+func ipcCells(fanout []int) []Cell {
+	var out []Cell
 	for _, ns := range ipcNamespaces {
 		for _, g := range fanout {
-			cfg := pf.Optimized()
-			w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-			if _, err := w.InstallRules(SyntheticRuleBase(FullRuleBaseSize)); err != nil {
-				panic(err)
-			}
-			pairs := make([]ipcPair, g)
-			for i := range pairs {
-				pairs[i] = newIPCPair(w, ns, i)
-				pairs[i].roundTrip() // warm per-process context caches
-			}
-
-			var wg sync.WaitGroup
-			m0 := readMem()
-			start := time.Now()
-			for i := 0; i < g; i++ {
-				wg.Add(1)
-				go func(pr ipcPair) {
-					defer wg.Done()
-					for n := 0; n < itersPerGoroutine; n++ {
-						pr.roundTrip()
-					}
-				}(pairs[i])
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			m1 := readMemNow()
-
-			ops := g * itersPerGoroutine
-			rep.Cells = append(rep.Cells, IPCCell{
-				Namespace:   ns,
-				Goroutines:  g,
-				Ops:         ops,
-				NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-				OpsPerSec:   float64(ops) / elapsed.Seconds(),
-				AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(ops),
-				BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops),
-			})
+			out = append(out, Cell{Name: fmt.Sprintf("ipc/%s/g=%d", ns, g), B: Side{
+				Name: "armed",
+				Setup: func() Instance {
+					return Instance{Bodies: ipcBodies(armedWorld(), ns, g)}
+				},
+			}})
 		}
 	}
-	return rep
+	return out
 }
 
-// FormatIPC renders the IPC scaling run as a table with per-namespace
-// speedup relative to the single-goroutine cell.
-func FormatIPC(rep IPCReport) string {
-	out := fmt.Sprintf("%-10s %10s %12s %14s %9s %10s %10s\n",
-		"namespace", "goroutines", "ns/op", "ops/sec", "speedup", "allocs/op", "B/op")
-	base := map[string]float64{}
-	for _, c := range rep.Cells {
-		if c.Goroutines == 1 {
-			base[c.Namespace] = c.OpsPerSec
-		}
-		speedup := 0.0
-		if b := base[c.Namespace]; b > 0 {
-			speedup = c.OpsPerSec / b
-		}
-		out += fmt.Sprintf("%-10s %10d %12.0f %14.0f %8.2fx %10.2f %10.1f\n",
-			c.Namespace, c.Goroutines, c.NsPerOp, c.OpsPerSec, speedup, c.AllocsPerOp, c.BytesPerOp)
+// ipcBodies binds g private listeners in ns and returns one warmed round
+// trip body per daemon/client pair.
+func ipcBodies(w *programs.World, ns string, g int) []func() {
+	bodies := make([]func(), g)
+	for i := range bodies {
+		pr := newIPCPair(w, ns, i)
+		pr.roundTrip()
+		bodies[i] = pr.roundTrip
 	}
-	out += fmt.Sprintf("(NumCPU=%d GOMAXPROCS=%d — one op is a full connect/accept/send/recv/close round trip)\n",
-		rep.NumCPU, rep.GOMAXPROCS)
-	return out
+	return bodies
 }

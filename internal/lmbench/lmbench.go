@@ -1,20 +1,24 @@
-// Package lmbench reproduces the paper's Table 6 microbenchmark suite: the
-// lmbench-style per-syscall latency measurements across Process Firewall
-// configurations — DISABLED, BASE (default allow rule only), FULL
-// (complete rule base, no optimizations), CONCACHE (+context caching),
-// LAZYCON (+lazy context evaluation), and EPTSPC (+entrypoint-specific
-// chains).
+// Package lmbench is the repository's benchmark suite: one cell runner
+// (cell.go) and the registry of every cell pfbench measures. It reproduces
+// the paper's Table 6 microbenchmark suite — the lmbench-style per-syscall
+// latency measurements across Process Firewall configurations DISABLED,
+// BASE (default allow rule only), FULL (complete rule base, no
+// optimizations), CONCACHE (+context caching), LAZYCON (+lazy context
+// evaluation) and EPTSPC (+entrypoint-specific chains) — plus Table 7,
+// Figures 4 and 5, and the beyond-paper scaling, overhead and control-plane
+// measurements.
 package lmbench
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"time"
 
 	"pfirewall/internal/kernel"
 	"pfirewall/internal/pf"
 	"pfirewall/internal/programs"
+	"pfirewall/internal/rulegen"
+	"pfirewall/internal/safeopen"
+	"pfirewall/internal/webbench"
 )
 
 // Config names one Table 6 column.
@@ -200,103 +204,97 @@ func benchProc(w *programs.World) *kernel.Proc {
 	return p
 }
 
-// Measurement is one (workload, config) cell: the mean over repetitions
-// and its standard deviation (the paper reports σ < 1% for its
-// microbenchmarks).
-type Measurement struct {
-	Workload string
-	Config   string
-	NsPerOp  float64
-	StdDevNs float64
-}
-
-// cellReps is how many timed repetitions each cell averages over.
-const cellReps = 5
-
-// Run measures every workload under every config with iters iterations
-// per cell, returning cells in row-major order.
-func Run(iters int) []Measurement {
-	var out []Measurement
+// table6Cells pairs every Table 6 row under every config with the same row
+// under DISABLED. The DISABLED/DISABLED cells are A/A calibration: their
+// ratio interval is the harness's noise floor for the row, and
+// table6/null/DISABLED — the unmediated null syscall — is the suite's.
+func table6Cells() []Cell {
+	var out []Cell
+	cfgs := Configs()
 	for _, wl := range Workloads() {
-		for _, cfg := range Configs() {
-			out = append(out, RunCell(wl, cfg, iters))
+		base := table6Side(wl, cfgs[0])
+		for _, cfg := range cfgs {
+			out = append(out, Cell{Name: "table6/" + wl.Name + "/" + cfg.Name, A: &base, B: table6Side(wl, cfg)})
 		}
 	}
 	return out
 }
 
-// RunCell measures one cell: cellReps timed repetitions after a warm-up,
-// reporting mean and standard deviation across repetitions.
-func RunCell(wl Workload, cfg Config, iters int) Measurement {
-	w := World(cfg)
-	p := benchProc(w)
-	body := wl.Setup(w, p)
-	perRep := iters / cellReps
-	if perRep < 1 {
-		perRep = 1
-	}
-	// Warm up caches and allocators, then isolate from earlier cells' garbage.
-	for i := 0; i < perRep/5+1; i++ {
-		body()
-	}
-	runtime.GC()
-
-	var samples [cellReps]float64
-	for r := 0; r < cellReps; r++ {
-		start := time.Now()
-		for i := 0; i < perRep; i++ {
-			body()
-		}
-		samples[r] = float64(time.Since(start).Nanoseconds()) / float64(perRep)
-	}
-	var mean float64
-	for _, v := range samples {
-		mean += v
-	}
-	mean /= cellReps
-	var varsum float64
-	for _, v := range samples {
-		varsum += (v - mean) * (v - mean)
-	}
-	return Measurement{
-		Workload: wl.Name,
-		Config:   cfg.Name,
-		NsPerOp:  mean,
-		StdDevNs: math.Sqrt(varsum / cellReps),
-	}
+func table6Side(wl Workload, cfg Config) Side {
+	return Side{Name: cfg.Name, Setup: func() Instance {
+		w := World(cfg)
+		return Instance{Bodies: []func(){wl.Setup(w, benchProc(w))}}
+	}}
 }
 
-// FormatTable6 renders measurements in the paper's layout: one row per
-// workload, one column per config, percentage overhead versus DISABLED in
-// brackets.
-func FormatTable6(cells []Measurement) string {
-	byRow := map[string]map[string]float64{}
-	var rows []string
-	for _, c := range cells {
-		if byRow[c.Workload] == nil {
-			byRow[c.Workload] = map[string]float64{}
-			rows = append(rows, c.Workload)
+// size is one scale of the whole suite.
+type size struct {
+	rounds      int
+	target      time.Duration // round length for auto-sized cells
+	macroRounds int           // rounds for Table 7 and Figure 5, whose ops take milliseconds
+	macroScale  int           // Table 7 build units / boot services / web requests
+	webClients  []int         // Table 7 web rows
+	fig5C       []int
+	fig5N       []int
+	fanout      []int
+	ruleSizes   []int // rulescale, policy publish and verify sweeps
+	tailIters   int   // per-op samples per round for p99 cells
+	worlds      []string
+	fleets      []int
+	fleetTime   time.Duration
+}
+
+var (
+	fullSize = size{
+		rounds: 61, target: 10 * time.Millisecond, macroRounds: 15,
+		macroScale: 50, webClients: webbench.Table7WebClients,
+		fig5C: webbench.Figure5Clients, fig5N: webbench.Figure5PathLens,
+		fanout: ParallelFanout, ruleSizes: rulegen.ScaleSizes, tailIters: 10000,
+		worlds: []string{"small", "medium", "large"}, fleets: []int{4, 8}, fleetTime: 2 * time.Second,
+	}
+	smokeSize = size{
+		rounds: 31, target: 5 * time.Millisecond, macroRounds: 9,
+		macroScale: 10, webClients: []int{1, 100},
+		fig5C: []int{1, 10}, fig5N: []int{1, 9},
+		fanout: []int{1, 4}, ruleSizes: []int{100, 1200}, tailIters: 3000,
+		worlds: []string{"tiny", "small"}, fleets: []int{2}, fleetTime: 300 * time.Millisecond,
+	}
+)
+
+// Cells is the registry: every measurement pfbench makes, at full or smoke
+// size, in run order. Constructing it builds nothing; each side's world is
+// built when its cell runs.
+func Cells(smoke bool) []Cell {
+	sz := fullSize
+	if smoke {
+		sz = smokeSize
+	}
+	rules := SyntheticRuleBase(FullRuleBaseSize)
+	var cells []Cell
+	for _, family := range [][]Cell{
+		table6Cells(),
+		table7Cells(sz.macroScale, sz.webClients, rules, sz.macroRounds),
+		figure4Cells(safeopen.PaperPathLens),
+		figure5Cells(sz.fig5C, sz.fig5N, sz.macroRounds),
+		parallelCells(sz.fanout),
+		ipcCells(sz.fanout),
+		obsCells(sz.fanout),
+		tracingCells(sz.fanout),
+		ruleScaleCells(sz.ruleSizes),
+		allocCells(),
+		policyCells(sz.ruleSizes, sz.tailIters),
+		worldScaleCells(sz.worlds, sz.fleets, sz.fleetTime),
+		verifyCells(sz.ruleSizes),
+	} {
+		cells = append(cells, family...)
+	}
+	for i := range cells {
+		if cells[i].Rounds == 0 {
+			cells[i].Rounds = sz.rounds
 		}
-		byRow[c.Workload][c.Config] = c.NsPerOp
-	}
-	var b []byte
-	b = append(b, fmt.Sprintf("%-12s", "Syscall")...)
-	for _, cfg := range Configs() {
-		b = append(b, fmt.Sprintf("%-24s", cfg.Name)...)
-	}
-	b = append(b, '\n')
-	for _, row := range rows {
-		base := byRow[row]["DISABLED"]
-		b = append(b, fmt.Sprintf("%-12s", row)...)
-		for _, cfg := range Configs() {
-			v := byRow[row][cfg.Name]
-			over := 0.0
-			if base > 0 {
-				over = (v - base) / base * 100
-			}
-			b = append(b, fmt.Sprintf("%-24s", fmt.Sprintf("%.0fns (%+.1f%%)", v, over))...)
+		if cells[i].Iters == 0 && cells[i].Target == 0 {
+			cells[i].Target = sz.target
 		}
-		b = append(b, '\n')
 	}
-	return string(b)
+	return cells
 }

@@ -51,32 +51,41 @@ func TestSyntheticRuleBaseSizeAndValidity(t *testing.T) {
 
 func TestEveryWorkloadRunsUnderEveryConfig(t *testing.T) {
 	// Smoke: each cell completes a few iterations without error and
-	// reports a positive latency.
-	for _, wl := range Workloads() {
-		for _, cfg := range Configs() {
-			m := RunCell(wl, cfg, 20)
-			if m.NsPerOp <= 0 {
-				t.Errorf("%s/%s: ns/op = %v", wl.Name, cfg.Name, m.NsPerOp)
-			}
-			if m.Workload != wl.Name || m.Config != cfg.Name {
-				t.Errorf("cell labels wrong: %+v", m)
-			}
+	// reports a positive latency on both sides.
+	cells := table6Cells()
+	if len(cells) != len(Workloads())*len(Configs()) {
+		t.Fatalf("cells = %d, want one per workload and config", len(cells))
+	}
+	for i, r := range runSmall(cells, 5, 1) {
+		wl, cfg := Workloads()[i/len(Configs())], Configs()[i%len(Configs())]
+		if r.B.MedianNs <= 0 || r.A.MedianNs <= 0 {
+			t.Errorf("%s: ns/op = %v / %v", r.Name, r.A.MedianNs, r.B.MedianNs)
+		}
+		if r.Name != "table6/"+wl.Name+"/"+cfg.Name || r.A.Name != "DISABLED" || r.B.Name != cfg.Name {
+			t.Errorf("cell labels wrong: %s (%s vs %s)", r.Name, r.A.Name, r.B.Name)
 		}
 	}
 }
 
 func TestFormatTable6Layout(t *testing.T) {
-	cells := []Measurement{
-		{Workload: "stat", Config: "DISABLED", NsPerOp: 100},
-		{Workload: "stat", Config: "BASE", NsPerOp: 110},
-		{Workload: "stat", Config: "FULL", NsPerOp: 200},
-		{Workload: "stat", Config: "CONCACHE", NsPerOp: 180},
-		{Workload: "stat", Config: "LAZYCON", NsPerOp: 170},
-		{Workload: "stat", Config: "EPTSPC", NsPerOp: 111},
+	var rs []Result
+	for _, c := range []struct {
+		cfg string
+		ns  float64
+	}{{"DISABLED", 100}, {"BASE", 110}, {"FULL", 200}, {"CONCACHE", 180}, {"LAZYCON", 170}, {"EPTSPC", 111}} {
+		rs = append(rs, Result{
+			Name:  "table6/stat/" + c.cfg,
+			A:     &SideResult{MedianNs: 100},
+			B:     SideResult{MedianNs: c.ns},
+			Ratio: &CI{Median: c.ns / 100},
+		})
 	}
-	out := FormatTable6(cells)
+	out := RenderTable6(rs)
 	if !strings.Contains(out, "stat") || !strings.Contains(out, "+10.0%") || !strings.Contains(out, "+100.0%") {
 		t.Errorf("format:\n%s", out)
+	}
+	if !strings.Contains(Render(rs), "Table 6") {
+		t.Errorf("Render drops Table 6:\n%s", Render(rs))
 	}
 }
 
@@ -84,11 +93,16 @@ func TestEptspcBeatsFullScan(t *testing.T) {
 	// The core Table 6 claim, asserted as an inequality rather than a
 	// number: with the 1218-rule base, the fully optimized engine is much
 	// cheaper per open than the unoptimized one.
-	wl := Workloads()[5] // open+close
-	full := RunCell(wl, Configs()[2], 400)
-	ept := RunCell(wl, Configs()[5], 400)
-	if ept.NsPerOp*5 > full.NsPerOp {
+	var cells []Cell
+	for _, c := range table6Cells() {
+		if c.Name == "table6/open+close/FULL" || c.Name == "table6/open+close/EPTSPC" {
+			cells = append(cells, c)
+		}
+	}
+	rs := runSmall(cells, 80, 5)
+	full, ept := rs[0].B, rs[1].B
+	if ept.MedianNs*5 > full.MedianNs {
 		t.Errorf("EPTSPC (%v ns) should be at least 5x cheaper than FULL (%v ns)",
-			ept.NsPerOp, full.NsPerOp)
+			ept.MedianNs, full.MedianNs)
 	}
 }

@@ -1,16 +1,16 @@
 // obs_overhead.go measures what the observability layer costs on the two
 // contended hot paths: the mediated open+close pair and the abstract-socket
-// round trip. Each cell runs the identical workload twice — once on a world
-// without a metrics registry (the disabled path is a single atomic pointer
-// load per mediation) and once with metrics attached at the given sampling
-// period — and reports the relative slowdown. The issue budget is 5%.
+// round trip. The obs cells pair a world without a metrics registry (the
+// disabled path is a single atomic pointer load per mediation) against the
+// same world with metrics attached; the tracing cells pair a metrics world
+// against the same world also sampling provenance spans. Both budgets are
+// gated on the single-goroutine file cell, where per-request cost is
+// isolated from scheduler interference: metrics at most 5%, sampled
+// tracing at most 10%.
 package lmbench
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
 	"pfirewall/internal/kernel"
 	"pfirewall/internal/obs"
@@ -18,52 +18,24 @@ import (
 	"pfirewall/internal/programs"
 )
 
-// DefaultObsSampleEvery is the latency sampling period used when none is
-// given — the same default kernel.AttachObs applies.
+// DefaultObsSampleEvery is the latency sampling period of the metrics
+// cells — the same default kernel.AttachObs applies.
 const DefaultObsSampleEvery = 16
 
-// DefaultTraceEvery is the provenance-span sampling period the trace
-// overhead comparison uses when none is given: one syscall in sixteen
-// (the same period as latency sampling) carries a full provenance span
-// through the gauntlet, which keeps the open path inside the 10% budget.
+// DefaultTraceEvery is the provenance-span sampling period of the tracing
+// cells: one syscall in sixteen (the same period as latency sampling)
+// carries a full provenance span through the gauntlet.
 const DefaultTraceEvery = 16
 
-// ObsCell is one (workload, fan-out) off/on comparison. OverheadPct
-// compares each side's best round (the least-interfered run of each);
-// BestRoundPct is the minimum overhead across *paired* rounds — each
-// round's off and on runs are adjacent in time, so interference that hits
-// both cancels in the ratio, making it the robust statistic for gating on
-// loaded or throttled machines.
-type ObsCell struct {
-	Workload     string  `json:"workload"`
-	Goroutines   int     `json:"goroutines"`
-	Ops          int     `json:"ops"`
-	OffNsPerOp   float64 `json:"off_ns_per_op"`
-	OnNsPerOp    float64 `json:"on_ns_per_op"`
-	OverheadPct  float64 `json:"overhead_pct"`
-	BestRoundPct float64 `json:"best_round_overhead_pct"`
-}
+// Budgets, as B/A ratios on the upper end of the 95% interval.
+const (
+	metricsBudget = 1.05
+	tracingBudget = 1.10
+)
 
-// ObsReport is the full overhead run; BENCH_obs.json is this shape. The
-// trace fields are present when the decision-provenance comparison ran:
-// there "off" is a metrics-attached world with tracing disabled and "on"
-// is the same world sampling one syscall in TraceEvery, so the cells
-// isolate what span capture costs on top of the metrics layer.
-type ObsReport struct {
-	BenchEnv
-	SampleEvery int       `json:"sample_every"`
-	Cells       []ObsCell `json:"cells,omitempty"`
-	TraceEvery  int       `json:"trace_every,omitempty"`
-	TraceCells  []ObsCell `json:"trace_cells,omitempty"`
-}
-
-// obsWorld builds the benchmark world (EPTSPC configuration,
-// deployment-scale rule base), optionally with the metrics layer attached.
-func obsWorld(withObs bool, sampleEvery int) *programs.World {
-	return traceWorld(withObs, sampleEvery, 0)
-}
-
-// traceWorld is obsWorld plus an optional provenance-span sampling period.
+// traceWorld builds the armed benchmark world (EPTSPC configuration,
+// deployment-scale rule base), optionally with the metrics layer attached
+// and sampling provenance spans every traceEvery syscalls.
 func traceWorld(withObs bool, sampleEvery, traceEvery int) *programs.World {
 	cfg := pf.Optimized()
 	wopts := programs.WorldOpts{PF: &cfg}
@@ -79,191 +51,75 @@ func traceWorld(withObs bool, sampleEvery, traceEvery int) *programs.World {
 	return w
 }
 
-// RunObsOverhead runs the off/on comparison for each workload at each
-// fan-out. sampleEvery <= 0 selects the default period.
-func RunObsOverhead(itersPerGoroutine, sampleEvery int, fanout []int) ObsReport {
-	if itersPerGoroutine < 1 {
-		itersPerGoroutine = 1
+// armedWorld is the armed world without observability.
+func armedWorld() *programs.World { return traceWorld(false, 0, 0) }
+
+// openStatClose is the tracing cells' file body: three syscalls, coprime
+// with the power-of-two sampling mask. A two-syscall open+close loop pins
+// the sampled slot to whichever syscall the counter phase selects (all
+// opens, or all unmediated closes), making the span rate bimodal across
+// runs; three slots rotate through every residue.
+func openStatClose(p *kernel.Proc) {
+	fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
+	if err != nil {
+		panic(err)
 	}
-	if sampleEvery <= 0 {
-		sampleEvery = DefaultObsSampleEvery
+	if _, err := p.Stat("/etc/passwd"); err != nil {
+		panic(err)
 	}
-	rep := ObsReport{BenchEnv: Env(), SampleEvery: sampleEvery}
-	workloads := []obsWorkload{
-		{"open+close", runObsOpen},
-		{"ipc/abstract", runObsIPC},
-	}
-	rep.Cells = obsCompare(itersPerGoroutine, fanout, workloads,
-		func() *programs.World { return obsWorld(false, sampleEvery) },
-		func() *programs.World { return obsWorld(true, sampleEvery) })
-	return rep
+	p.Close(fd)
 }
 
-// RunTraceOverhead runs the decision-provenance comparison: both sides
-// carry the metrics layer, the "on" side additionally samples one syscall
-// in traceEvery into a full provenance span. traceEvery <= 0 selects the
-// default period.
-func RunTraceOverhead(itersPerGoroutine, sampleEvery, traceEvery int, fanout []int) ObsReport {
-	if itersPerGoroutine < 1 {
-		itersPerGoroutine = 1
-	}
-	if sampleEvery <= 0 {
-		sampleEvery = DefaultObsSampleEvery
-	}
-	if traceEvery <= 0 {
-		traceEvery = DefaultTraceEvery
-	}
-	rep := ObsReport{BenchEnv: Env(), SampleEvery: sampleEvery, TraceEvery: traceEvery}
-	// The file workload here is a three-syscall loop, coprime with the
-	// power-of-two sampling mask: a two-syscall open+close loop pins the
-	// sampled slot to whichever syscall the counter phase happens to
-	// select (all opens, or all unmediated closes), making the measured
-	// span rate bimodal across runs. Three slots rotate through every
-	// residue, so the rate — and the overhead — is phase-independent.
-	workloads := []obsWorkload{
-		{"open+stat+close", runTraceOpen},
-		{"ipc/abstract", runObsIPC},
-	}
-	rep.TraceCells = obsCompare(itersPerGoroutine, fanout, workloads,
-		func() *programs.World { return traceWorld(true, sampleEvery, 0) },
-		func() *programs.World { return traceWorld(true, sampleEvery, traceEvery) })
-	return rep
+// obsCells pairs the armed world without metrics against it with metrics
+// attached.
+func obsCells(fanout []int) []Cell {
+	return overheadCells("obs", "open+close", openClose, fanout, metricsBudget,
+		worldSide{"metrics-off", armedWorld},
+		worldSide{"metrics-on", func() *programs.World { return traceWorld(true, DefaultObsSampleEvery, 0) }})
 }
 
-// obsWorkload is one named hot-path body the off/on comparison times.
-type obsWorkload struct {
-	name string
-	run  func(w *programs.World, g, iters int) (int, float64)
+// tracingCells pairs the metrics world with tracing disabled against it
+// sampling one syscall in DefaultTraceEvery into a provenance span.
+func tracingCells(fanout []int) []Cell {
+	return overheadCells("tracing", "open+stat+close", openStatClose, fanout, tracingBudget,
+		worldSide{"trace-off", func() *programs.World { return traceWorld(true, DefaultObsSampleEvery, 0) }},
+		worldSide{"trace-sampled", func() *programs.World {
+			return traceWorld(true, DefaultObsSampleEvery, DefaultTraceEvery)
+		}})
 }
 
-// obsCompare times every (workload, fan-out) cell on fresh worlds from
-// offWorld and onWorld and reports the relative slowdown.
-func obsCompare(itersPerGoroutine int, fanout []int, workloads []obsWorkload, offWorld, onWorld func() *programs.World) []ObsCell {
-	// Each cell is the best of obsRounds fresh-world runs, with off and on
-	// rounds interleaved so slow drift (GC pressure, thermal, scheduler)
-	// hits both sides equally; the minimum is the least-interfered run.
-	const obsRounds = 5
-	var cells []ObsCell
-	for _, wl := range workloads {
+// worldSide names a world builder.
+type worldSide struct {
+	name  string
+	world func() *programs.World
+}
+
+// overheadCells pairs world builders off and on over a file body and the
+// abstract round trip at each fan-out, gating the single-goroutine file
+// cell's ratio at budget.
+func overheadCells(family, file string, body func(*kernel.Proc), fanout []int, budget float64, off, on worldSide) []Cell {
+	wls := []struct {
+		name   string
+		bodies func(w *programs.World, g int) []func()
+	}{
+		{file, func(w *programs.World, g int) []func() { return procBodies(w, g, body) }},
+		{"ipc-abstract", func(w *programs.World, g int) []func() { return ipcBodies(w, "abstract", g) }},
+	}
+	var out []Cell
+	for i, wl := range wls {
 		for _, g := range fanout {
-			opsOff, off, on, bestPct := 0, 0.0, 0.0, 0.0
-			for r := 0; r < obsRounds; r++ {
-				ops, offR := wl.run(offWorld(), g, itersPerGoroutine)
-				_, onR := wl.run(onWorld(), g, itersPerGoroutine)
-				if r == 0 || offR < off {
-					opsOff, off = ops, offR
-				}
-				if r == 0 || onR < on {
-					on = onR
-				}
-				if pct := (onR - offR) / offR * 100; r == 0 || pct < bestPct {
-					bestPct = pct
-				}
+			side := func(ws worldSide) Side {
+				return Side{Name: ws.name, Setup: func() Instance {
+					return Instance{Bodies: wl.bodies(ws.world(), g)}
+				}}
 			}
-			cells = append(cells, ObsCell{
-				Workload:     wl.name,
-				Goroutines:   g,
-				Ops:          opsOff,
-				OffNsPerOp:   off,
-				OnNsPerOp:    on,
-				OverheadPct:  (on - off) / off * 100,
-				BestRoundPct: bestPct,
-			})
-		}
-	}
-	return cells
-}
-
-// runObsOpen times the mediated open+close pair, mirroring RunParallel.
-func runObsOpen(w *programs.World, g, itersPerGoroutine int) (int, float64) {
-	wl := parallelWorkloads[0] // open+close
-	return obsTimed(g, itersPerGoroutine, func(i int) func() {
-		p := parallelProc(w)
-		wl.Body(p) // warm per-process context caches
-		return func() { wl.Body(p) }
-	})
-}
-
-// runTraceOpen times the mediated open+stat+close triple the tracing
-// comparison uses (see RunTraceOverhead for why three syscalls).
-func runTraceOpen(w *programs.World, g, itersPerGoroutine int) (int, float64) {
-	body := func(p *kernel.Proc) {
-		fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := p.Stat("/etc/passwd"); err != nil {
-			panic(err)
-		}
-		p.Close(fd)
-	}
-	return obsTimed(g, itersPerGoroutine, func(i int) func() {
-		p := parallelProc(w)
-		body(p) // warm per-process context caches
-		return func() { body(p) }
-	})
-}
-
-// runObsIPC times the abstract-namespace round trip, mirroring RunIPC.
-func runObsIPC(w *programs.World, g, itersPerGoroutine int) (int, float64) {
-	return obsTimed(g, itersPerGoroutine, func(i int) func() {
-		pr := newIPCPair(w, "abstract", i)
-		pr.roundTrip() // warm per-process context caches
-		return func() { pr.roundTrip() }
-	})
-}
-
-// obsTimed builds g per-goroutine bodies, then times itersPerGoroutine
-// calls of each concurrently.
-func obsTimed(g, itersPerGoroutine int, build func(i int) func()) (int, float64) {
-	bodies := make([]func(), g)
-	for i := range bodies {
-		bodies[i] = build(i)
-	}
-	// Collect the construction garbage (a fresh world per round installs a
-	// deployment-scale ruleset) before the timer starts, so the collector
-	// does not fire inside one side's window and skew the comparison.
-	runtime.GC()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < g; i++ {
-		wg.Add(1)
-		go func(body func()) {
-			defer wg.Done()
-			for n := 0; n < itersPerGoroutine; n++ {
-				body()
+			base := side(off)
+			c := Cell{Name: fmt.Sprintf("%s/%s/g=%d", family, wl.name, g), A: &base, B: side(on)}
+			if i == 0 && g == 1 {
+				c.Gates = []Gate{ratioAtMost(fmt.Sprintf("%s overhead <= %.0f%%", family, (budget-1)*100), budget)}
 			}
-		}(bodies[i])
+			out = append(out, c)
+		}
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	ops := g * itersPerGoroutine
-	return ops, float64(elapsed.Nanoseconds()) / float64(ops)
-}
-
-// FormatObsOverhead renders the off/on comparison as a table.
-func FormatObsOverhead(rep ObsReport) string {
-	out := fmt.Sprintf("%-14s %10s %13s %13s %9s\n",
-		"workload", "goroutines", "off ns/op", "on ns/op", "overhead")
-	for _, c := range rep.Cells {
-		out += fmt.Sprintf("%-14s %10d %13.0f %13.0f %8.1f%%\n",
-			c.Workload, c.Goroutines, c.OffNsPerOp, c.OnNsPerOp, c.OverheadPct)
-	}
-	out += fmt.Sprintf("(NumCPU=%d GOMAXPROCS=%d sample_every=%d — counters are exact, latency is sampled)\n",
-		rep.NumCPU, rep.GOMAXPROCS, rep.SampleEvery)
-	return out
-}
-
-// FormatTraceOverhead renders the tracing-disabled vs tracing-sampled
-// comparison as a table.
-func FormatTraceOverhead(rep ObsReport) string {
-	out := fmt.Sprintf("%-15s %10s %13s %13s %9s %11s\n",
-		"workload", "goroutines", "no-trace ns", "trace ns", "overhead", "best-round")
-	for _, c := range rep.TraceCells {
-		out += fmt.Sprintf("%-15s %10d %13.0f %13.0f %8.1f%% %10.1f%%\n",
-			c.Workload, c.Goroutines, c.OffNsPerOp, c.OnNsPerOp, c.OverheadPct, c.BestRoundPct)
-	}
-	out += fmt.Sprintf("(NumCPU=%d GOMAXPROCS=%d trace_every=%d — both sides carry metrics; on adds provenance spans)\n",
-		rep.NumCPU, rep.GOMAXPROCS, rep.TraceEvery)
 	return out
 }

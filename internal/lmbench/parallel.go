@@ -1,4 +1,4 @@
-// parallel.go measures multi-core scaling of the mediated hot path: b
+// parallel.go measures multi-core scaling of the mediated hot path: g
 // goroutines, each driving its own process (per-process syscall state is
 // single-flow by design), hammer the shared read structures — the vfs
 // dentry cache, the MAC adversary snapshot, the kernel hook table and the
@@ -9,46 +9,13 @@ package lmbench
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"pfirewall/internal/kernel"
-	"pfirewall/internal/pf"
 	"pfirewall/internal/programs"
 )
 
 // ParallelFanout is the goroutine grid for the scaling measurement.
 var ParallelFanout = []int{1, 4, 8}
-
-// ParallelCell is one (workload, fan-out) measurement.
-type ParallelCell struct {
-	Workload   string  `json:"workload"`
-	Goroutines int     `json:"goroutines"`
-	Ops        int     `json:"ops"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	// Allocation rate over the measured interval, from runtime.MemStats
-	// deltas across all goroutines (the mediation path itself is designed
-	// to allocate nothing in the steady state).
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-}
-
-// ParallelReport is the full scaling run.
-type ParallelReport struct {
-	BenchEnv
-	Cells []ParallelCell `json:"cells"`
-}
-
-// parallelProc builds one benchmark process with the standard deep stack.
-func parallelProc(w *programs.World) *kernel.Proc {
-	p := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
-	for f := 0; f < 16; f++ {
-		p.PushFrame(programs.BinSshd, uint64(0x100+f*0x10))
-	}
-	p.SyscallSite(programs.BinSshd, 0x300)
-	return p
-}
 
 // parallelWorkloads are the hot-path operations measured: the mediated
 // open+close pair (dcache + two hooks + ruleset walk) and stat (one hook).
@@ -56,13 +23,7 @@ var parallelWorkloads = []struct {
 	Name string
 	Body func(p *kernel.Proc)
 }{
-	{Name: "open+close", Body: func(p *kernel.Proc) {
-		fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-		if err != nil {
-			panic(err)
-		}
-		p.Close(fd)
-	}},
+	{Name: "open+close", Body: openClose},
 	{Name: "stat", Body: func(p *kernel.Proc) {
 		if _, err := p.Stat("/etc/passwd"); err != nil {
 			panic(err)
@@ -70,76 +31,40 @@ var parallelWorkloads = []struct {
 	}},
 }
 
-// RunParallel measures each workload at each fan-out, itersPerGoroutine
-// operations per goroutine, on a fully armed world (EPTSPC configuration
-// with the deployment-scale rule base).
-func RunParallel(itersPerGoroutine int, fanout []int) ParallelReport {
-	if itersPerGoroutine < 1 {
-		itersPerGoroutine = 1
+func openClose(p *kernel.Proc) {
+	fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
+	if err != nil {
+		panic(err)
 	}
-	rep := ParallelReport{BenchEnv: Env()}
-	for _, wl := range parallelWorkloads {
-		for _, g := range fanout {
-			cfg := pf.Optimized()
-			w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-			if _, err := w.InstallRules(SyntheticRuleBase(FullRuleBaseSize)); err != nil {
-				panic(err)
-			}
-			procs := make([]*kernel.Proc, g)
-			for i := range procs {
-				procs[i] = parallelProc(w)
-				wl.Body(procs[i]) // warm per-process context caches
-			}
-
-			var wg sync.WaitGroup
-			m0 := readMem()
-			start := time.Now()
-			for i := 0; i < g; i++ {
-				wg.Add(1)
-				go func(p *kernel.Proc) {
-					defer wg.Done()
-					for n := 0; n < itersPerGoroutine; n++ {
-						wl.Body(p)
-					}
-				}(procs[i])
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			m1 := readMemNow()
-
-			ops := g * itersPerGoroutine
-			rep.Cells = append(rep.Cells, ParallelCell{
-				Workload:    wl.Name,
-				Goroutines:  g,
-				Ops:         ops,
-				NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-				OpsPerSec:   float64(ops) / elapsed.Seconds(),
-				AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(ops),
-				BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops),
-			})
-		}
-	}
-	return rep
+	p.Close(fd)
 }
 
-// FormatParallel renders the scaling run as a table with per-workload
-// speedup relative to the single-goroutine cell.
-func FormatParallel(rep ParallelReport) string {
-	out := fmt.Sprintf("%-12s %10s %12s %14s %9s %10s %10s\n",
-		"workload", "goroutines", "ns/op", "ops/sec", "speedup", "allocs/op", "B/op")
-	base := map[string]float64{}
-	for _, c := range rep.Cells {
-		if c.Goroutines == 1 {
-			base[c.Workload] = c.OpsPerSec
-		}
-		speedup := 0.0
-		if b := base[c.Workload]; b > 0 {
-			speedup = c.OpsPerSec / b
-		}
-		out += fmt.Sprintf("%-12s %10d %12.0f %14.0f %8.2fx %10.2f %10.1f\n",
-			c.Workload, c.Goroutines, c.NsPerOp, c.OpsPerSec, speedup, c.AllocsPerOp, c.BytesPerOp)
+// procBodies starts g benchmark processes on w and returns one body per
+// process, each warmed once so per-process context caches are filled.
+func procBodies(w *programs.World, g int, body func(p *kernel.Proc)) []func() {
+	bodies := make([]func(), g)
+	for i := range bodies {
+		p := benchProc(w)
+		body(p)
+		bodies[i] = func() { body(p) }
 	}
-	out += fmt.Sprintf("(NumCPU=%d GOMAXPROCS=%d — speedup is bounded by available cores)\n",
-		rep.NumCPU, rep.GOMAXPROCS)
+	return bodies
+}
+
+// parallelCells measures each workload at each fan-out on a fully armed
+// world (EPTSPC configuration with the deployment-scale rule base). One
+// op is one body call on any goroutine, so ns/op is inverse throughput.
+func parallelCells(fanout []int) []Cell {
+	var out []Cell
+	for _, wl := range parallelWorkloads {
+		for _, g := range fanout {
+			out = append(out, Cell{Name: fmt.Sprintf("parallel/%s/g=%d", wl.Name, g), B: Side{
+				Name: "armed",
+				Setup: func() Instance {
+					return Instance{Bodies: procBodies(armedWorld(), g, wl.Body)}
+				},
+			}})
+		}
+	}
 	return out
 }

@@ -1,5 +1,4 @@
-// policychurn.go measures the policy control plane — the
-// BENCH_policy.json artifact. Three questions:
+// policychurn.go measures the policy control plane. Three questions:
 //
 //   - publish latency: how long one rule change takes to land, full
 //     recompile (pf.Config.FullRecompile) vs incremental bucket-level
@@ -10,16 +9,12 @@
 //     verdict flip verified in-world after every round;
 //   - disturbance: what churning the rule base through the control plane
 //     does to the mediated open path's p99, measured as paired
-//     quiet/churning rounds (interleaved so drift inflates both sides and
-//     cancels in the ratio — only a cost present in every round counts).
+//     quiet/churning rounds and gated on the interval of their ratio.
 package lmbench
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync/atomic"
-	"time"
 
 	"pfirewall/internal/kernel"
 	"pfirewall/internal/pf"
@@ -29,124 +24,8 @@ import (
 	"pfirewall/internal/rulegen"
 )
 
-// PolicyChurnSizes is the standard publish-latency sweep: small, the
-// paper-scale base, and deployment scale.
-var PolicyChurnSizes = []int{100, 1200, 10000}
-
 // policyWorlds is the propagation fleet size.
 const policyWorlds = 4
-
-// policyRounds is the paired-round count for propagation and disturbance.
-const policyRounds = 4
-
-// PolicyPublishCell is one (mode, rule-count) publish-latency measurement.
-type PolicyPublishCell struct {
-	Mode         string  `json:"mode"` // "full" or "incremental"
-	Rules        int     `json:"rules"`
-	Publishes    int     `json:"publishes"`
-	NsPerPublish float64 `json:"ns_per_publish"`
-	P50Ns        float64 `json:"p50_ns"`
-	P99Ns        float64 `json:"p99_ns"`
-}
-
-// PolicyPropagation is the fleet fan-out measurement.
-type PolicyPropagation struct {
-	Worlds int `json:"worlds"`
-	Rounds int `json:"rounds"`
-	// P50Ns/MaxNs: time from publish start until every world's engine
-	// answered with the new verdict (client round trip + verified probe).
-	P50Ns float64 `json:"p50_ns"`
-	MaxNs float64 `json:"max_ns"`
-	// Lost counts probes that saw a stale verdict after their publish
-	// round-trip completed — the "zero dropped/blocked requests" gate.
-	Lost int `json:"lost"`
-}
-
-// PolicyDisturbance is the paired quiet/churning open-path comparison.
-type PolicyDisturbance struct {
-	Rounds     int     `json:"rounds"`
-	OpsPerSide int     `json:"ops_per_side"`
-	QuietP99Ns float64 `json:"quiet_p99_ns"`
-	ChurnP99Ns float64 `json:"churn_p99_ns"`
-	// Pct is the mean-of-rounds p99 disturbance; BestRoundPct the minimum
-	// paired round, the gate's number.
-	Pct          float64 `json:"p99_disturbance_pct"`
-	BestRoundPct float64 `json:"best_round_p99_disturbance_pct"`
-	// Publishes landed while the churning sides ran, and verdict
-	// conservation over the whole engine lifetime.
-	Publishes         uint64 `json:"publishes"`
-	DeltaCompiles     uint64 `json:"delta_compiles"`
-	Requests          uint64 `json:"requests"`
-	Accepts           uint64 `json:"accepts"`
-	Drops             uint64 `json:"drops"`
-	VerdictsConserved bool   `json:"verdicts_conserved"`
-}
-
-// PolicyChurnReport is the full control-plane measurement.
-type PolicyChurnReport struct {
-	BenchEnv
-	Publish     []PolicyPublishCell `json:"publish"`
-	Propagation PolicyPropagation   `json:"propagation"`
-	Disturbance PolicyDisturbance   `json:"disturbance"`
-}
-
-// SpeedupAt reports full/incremental ns-per-publish at the given size
-// (zero when either cell is missing).
-func (rep *PolicyChurnReport) SpeedupAt(rules int) float64 {
-	var full, inc float64
-	for _, c := range rep.Publish {
-		if c.Rules != rules {
-			continue
-		}
-		switch c.Mode {
-		case "full":
-			full = c.NsPerPublish
-		case "incremental":
-			inc = c.NsPerPublish
-		}
-	}
-	if full == 0 || inc == 0 {
-		return 0
-	}
-	return full / inc
-}
-
-// MaxPublishSize is the largest size in the publish sweep.
-func (rep *PolicyChurnReport) MaxPublishSize() int {
-	max := 0
-	for _, c := range rep.Publish {
-		if c.Rules > max {
-			max = c.Rules
-		}
-	}
-	return max
-}
-
-// policyProbeRule renders the inert probe rule used for publish timing:
-// non-entrypoint (so it rides the generic lane the delta compiler
-// patches), with a subject label no process carries.
-const policyProbeRule = `pftables -A input -s {policy_probe_t} -d {tmp_t} -o FILE_UNLINK -j DROP`
-
-// RunPolicyChurn runs the three control-plane measurements. publishes is
-// the per-cell publish count for the latency sweep; iters the per-side op
-// count for the disturbance rounds.
-func RunPolicyChurn(publishes, iters int, sizes []int) PolicyChurnReport {
-	if publishes < 2 {
-		publishes = 2
-	}
-	publishes -= publishes % 2 // append/remove pairs
-	if iters < 1 {
-		iters = 1
-	}
-	if len(sizes) == 0 {
-		sizes = PolicyChurnSizes
-	}
-	rep := PolicyChurnReport{BenchEnv: Env()}
-	rep.Publish = runPolicyPublish(publishes, sizes)
-	rep.Propagation = runPolicyPropagation()
-	rep.Disturbance = runPolicyDisturbance(iters)
-	return rep
-}
 
 // publishModes: both sides carry the full optimized config including the
 // dispatch index; "full" forces every publish through a from-scratch
@@ -159,75 +38,109 @@ var publishModes = []struct {
 	{"incremental", pf.Config{CtxCache: true, LazyCtx: true, EptChains: true, RuleIndex: true}},
 }
 
-// runPolicyPublish times single-rule publishes against installed bases of
-// each size: one append and one remove per pair, so the base size is
-// stable across the measured window.
-func runPolicyPublish(publishes int, sizes []int) []PolicyPublishCell {
-	var cells []PolicyPublishCell
-	for _, m := range publishModes {
-		for _, n := range sizes {
-			cfg := m.cfg
-			w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-			if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, n)); err != nil {
-				panic(err)
-			}
-			cmd, err := pftables.Parse(w.Env, policyProbeRule)
-			if err != nil {
-				panic(err)
-			}
-			probe := cmd.Rule
-			eng := w.Engine
-			match := func(r *pf.Rule) bool { return r == probe }
-			// Warm both paths (and let lazy derived state settle).
-			for i := 0; i < 4; i++ {
-				mustPolicy(eng.Append("input", probe))
-				mustPolicy(eng.Remove("input", match))
-			}
-			st0 := eng.PublishStats()
-			samples := make([]int64, 0, publishes)
-			for i := 0; i < publishes/2; i++ {
-				t0 := time.Now()
-				mustPolicy(eng.Append("input", probe))
-				samples = append(samples, time.Since(t0).Nanoseconds())
-				t0 = time.Now()
-				mustPolicy(eng.Remove("input", match))
-				samples = append(samples, time.Since(t0).Nanoseconds())
-			}
-			st1 := eng.PublishStats()
-			if m.name == "incremental" && st1.DeltaCompiles == st0.DeltaCompiles {
-				panic("policychurn: incremental cell never took the delta-compile path")
-			}
-			var total int64
-			for _, s := range samples {
-				total += s
-			}
-			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-			cells = append(cells, PolicyPublishCell{
-				Mode:         m.name,
-				Rules:        n,
-				Publishes:    len(samples),
-				NsPerPublish: float64(total) / float64(len(samples)),
-				P50Ns:        percentileNs(samples, 0.50),
-				P99Ns:        percentileNs(samples, 0.99),
-			})
-		}
-	}
-	return cells
+// policyProbeRule renders the inert probe rule used for publish timing:
+// non-entrypoint (so it rides the generic lane the delta compiler
+// patches), with a subject label no process carries.
+const policyProbeRule = `pftables -A input -s {policy_probe_t} -d {tmp_t} -o FILE_UNLINK -j DROP`
+
+// policyCells declares the publish sweep over sizes, the propagation cell
+// and the disturbance cell (tailIters timed opens per side per round).
+func policyCells(sizes []int, tailIters int) []Cell {
+	out := policyPublishCells(sizes)
+	return append(out, policyPropagationCell(), policyDisturbanceCell(tailIters))
 }
 
-// runPolicyPropagation streams a canary DROP to a small fleet of worlds
-// through policyd publishers and measures until every engine's verdict
-// actually flipped, verified by an in-world probe each round.
-func runPolicyPropagation() PolicyPropagation {
-	cfg := pf.Optimized()
-	type target struct {
-		w     *programs.World
-		probe *kernel.Proc
+// policyPublishCells time single-rule publishes against installed bases of
+// each size, full (A) against incremental (B). One op is one publish; the
+// probe rule alternates between appended and removed, so the base size is
+// stable across the measured window. The largest size carries the speedup
+// gate: at deployment scale (>=10k rules) incremental publish must beat
+// the full rebuild 10x; a trimmed sweep still has to show 1.5x.
+func policyPublishCells(sizes []int) []Cell {
+	var out []Cell
+	for i, n := range sizes {
+		var sides [2]Side
+		for j, m := range publishModes {
+			sides[j] = Side{Name: m.name, Setup: func() Instance { return publishInstance(m.name, m.cfg, n) }}
+		}
+		c := Cell{Name: fmt.Sprintf("policy/publish/rules=%d", n), A: &sides[0], B: sides[1]}
+		if i == len(sizes)-1 {
+			need := 10.0
+			if n < 10000 {
+				need = 1.5
+			}
+			c.Gates = []Gate{{Name: fmt.Sprintf("incremental publish >= %.1fx at %d rules", need, n), Check: func(r *Result) error {
+				// The speedup's lower bound is 1 / the ratio's upper bound.
+				if s := 1 / r.Ratio.Hi; s < need {
+					return fmt.Errorf("incremental publish only %.1fx faster than full rebuild (95%% CI lower bound), want >=%.1fx", s, need)
+				}
+				return nil
+			}}}
+		}
+		out = append(out, c)
 	}
+	return out
+}
+
+func publishInstance(mode string, cfg pf.Config, n int) Instance {
+	w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
+	if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, n)); err != nil {
+		panic(err)
+	}
+	cmd, err := pftables.Parse(w.Env, policyProbeRule)
+	if err != nil {
+		panic(err)
+	}
+	probe, eng := cmd.Rule, w.Engine
+	match := func(r *pf.Rule) bool { return r == probe }
+	installed := false
+	st0 := eng.PublishStats()
+	return Instance{
+		Bodies: []func(){func() {
+			if installed {
+				mustPolicy(eng.Remove("input", match))
+			} else {
+				mustPolicy(eng.Append("input", probe))
+			}
+			installed = !installed
+		}},
+		Done: func() map[string]float64 {
+			st := eng.PublishStats()
+			delta := st.DeltaCompiles - st0.DeltaCompiles
+			if mode == "incremental" && delta == 0 {
+				panic("policychurn: incremental cell never took the delta-compile path")
+			}
+			return map[string]float64{
+				"publishes":      float64(st.Publishes - st0.Publishes),
+				"delta_compiles": float64(delta),
+			}
+		},
+	}
+}
+
+// policyPropagationCell streams a canary DROP to a small fleet of worlds
+// through policyd publishers and back out again. One op is one canary
+// round: publish, verify every engine answers with the canary verdict,
+// drain, verify the accept is restored. A probe that sees the old verdict
+// after its publish round trip completed is a stale verdict; the gate
+// allows none.
+func policyPropagationCell() Cell {
+	return Cell{Name: "policy/propagation", B: Side{Name: "fleet", Setup: propagationInstance},
+		Gates: []Gate{{Name: "0 stale verdicts", Check: func(r *Result) error {
+			if n := r.B.Extra["stale_verdicts"]; n != 0 {
+				return fmt.Errorf("%.0f probes saw a stale verdict after a completed publish", n)
+			}
+			return nil
+		}}}}
+}
+
+func propagationInstance() Instance {
+	cfg := pf.Optimized()
 	var (
-		targets []target
+		probes  []*kernel.Proc
 		names   []string
 		clients []*policyd.Client
+		servers []*policyd.Server
 	)
 	for i := 0; i < policyWorlds; i++ {
 		w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
@@ -242,60 +155,57 @@ func runPolicyPropagation() PolicyPropagation {
 		if err != nil {
 			panic(err)
 		}
-		defer srv.Close()
 		cl, err := policyd.Dial(w.K, name)
 		if err != nil {
 			panic(err)
 		}
-		targets = append(targets, target{
-			w:     w,
-			probe: w.NewProc(kernel.ProcSpec{UID: 1000, Label: "user_t"}),
-		})
+		probes = append(probes, w.NewProc(kernel.ProcSpec{UID: 1000, Label: "user_t"}))
 		names = append(names, name)
 		clients = append(clients, cl)
+		servers = append(servers, srv)
 	}
 	pub := policyd.NewPublisher(names, clients)
-	defer pub.Close()
 
 	canary := []string{`pftables -A input -s user_t -o FILE_OPEN -j DROP`}
 	drain := []string{`pftables -D input --tag canary.pft`}
-	res := PolicyPropagation{Worlds: policyWorlds, Rounds: policyRounds * 2}
-	var samples []int64
-	for round := 0; round < policyRounds*2; round++ {
-		t0 := time.Now()
-		for _, r := range pub.Apply("canary.pft", canary, 0) {
+	apply := func(file string, lines []string) {
+		for _, r := range pub.Apply(file, lines, 0) {
 			if r.Err != "" || !r.Resp.OK {
-				panic(fmt.Sprintf("policychurn: canary publish to %s: %s %s", r.Name, r.Err, r.Resp.Err))
+				panic(fmt.Sprintf("policychurn: %s to %s: %s %s", file, r.Name, r.Err, r.Resp.Err))
 			}
-		}
-		// The publish responses are back, so every engine must already
-		// answer with the canary verdict: a stale accept is a lost update.
-		for _, tg := range targets {
-			if fd, err := tg.probe.Open("/etc/passwd", kernel.O_RDONLY, 0); err == nil {
-				tg.probe.Close(fd)
-				res.Lost++
-			}
-		}
-		samples = append(samples, time.Since(t0).Nanoseconds())
-		for _, r := range pub.Apply("drain.pft", drain, 0) {
-			if r.Err != "" || !r.Resp.OK {
-				panic(fmt.Sprintf("policychurn: canary drain to %s: %s %s", r.Name, r.Err, r.Resp.Err))
-			}
-		}
-		// And the drain must restore the accept.
-		for _, tg := range targets {
-			fd, err := tg.probe.Open("/etc/passwd", kernel.O_RDONLY, 0)
-			if err != nil {
-				res.Lost++
-				continue
-			}
-			tg.probe.Close(fd)
 		}
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	res.P50Ns = percentileNs(samples, 0.50)
-	res.MaxNs = float64(samples[len(samples)-1])
-	return res
+	stale := 0
+	return Instance{
+		Bodies: []func(){func() {
+			apply("canary.pft", canary)
+			// The publish responses are back, so every engine must already
+			// answer with the canary verdict: a stale accept is a lost update.
+			for _, p := range probes {
+				if fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0); err == nil {
+					p.Close(fd)
+					stale++
+				}
+			}
+			apply("drain.pft", drain)
+			// And the drain must restore the accept.
+			for _, p := range probes {
+				fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
+				if err != nil {
+					stale++
+					continue
+				}
+				p.Close(fd)
+			}
+		}},
+		Done: func() map[string]float64 {
+			pub.Close()
+			for _, srv := range servers {
+				srv.Close()
+			}
+			return map[string]float64{"worlds": policyWorlds, "stale_verdicts": float64(stale)}
+		},
+	}
 }
 
 // churnWaveLines builds one inert non-entrypoint wave batch (generic-lane
@@ -309,11 +219,57 @@ func churnWaveLines(tag int) []string {
 	return lines
 }
 
-// runPolicyDisturbance measures mediated open+close p99 in paired
-// quiet/churning rounds on one world whose rule base is the paper-scale
-// 1200 rules.
-func runPolicyDisturbance(iters int) PolicyDisturbance {
-	cfg := pf.Config{CtxCache: true, LazyCtx: true, EptChains: true, RuleIndex: true}
+// policyDisturbanceCell measures mediated open+close p99 on one world
+// whose rule base is the paper-scale 1200 rules, quiet (A) against
+// churning (B): during every B round a streamer drives wave applies and
+// tag-drains through policyd. The gates: every request resolved to a
+// verdict, and p99 at most 10% worse while churning.
+func policyDisturbanceCell(iters int) Cell {
+	// Both sides run on one world: whichever side sets up first builds it,
+	// and the churning side's teardown releases it.
+	var d *disturbance
+	get := func() *disturbance {
+		if d == nil {
+			d = newDisturbance()
+		}
+		return d
+	}
+	quiet := Side{Name: "quiet", Setup: func() Instance {
+		return Instance{Bodies: []func(){get().body}}
+	}}
+	churning := Side{Name: "churning", Setup: func() Instance {
+		cur := get()
+		return Instance{Bodies: []func(){cur.body}, Round: cur.churn, Done: func() map[string]float64 {
+			d = nil
+			return cur.close()
+		}}
+	}}
+	return Cell{Name: "policy/disturbance", A: &quiet, B: churning, Iters: iters, Tail: true, Gates: []Gate{
+		{Name: "verdicts conserved", Check: func(r *Result) error {
+			if r.B.Extra["verdicts_conserved"] != 1 {
+				return fmt.Errorf("verdicts not conserved under churn: %.0f requests vs %.0f accepts + %.0f drops",
+					r.B.Extra["requests"], r.B.Extra["accepts"], r.B.Extra["drops"])
+			}
+			return nil
+		}},
+		ratioAtMost("open+close p99 disturbance <= 10%", 1.10),
+	}}
+}
+
+// disturbance is the disturbance cell's shared world.
+type disturbance struct {
+	w   *programs.World
+	srv *policyd.Server
+	// cl is the streamer's client, dialed once; rounds hand it to one
+	// goroutine at a time (churn's end joins the streamer before the next
+	// round), so the kernel's single-flow invariant holds.
+	cl  *policyd.Client
+	p   *kernel.Proc
+	st0 pf.PublishStats
+}
+
+func newDisturbance() *disturbance {
+	cfg := pf.Optimized()
 	w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
 	if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, 1200)); err != nil {
 		panic(err)
@@ -322,128 +278,71 @@ func runPolicyDisturbance(iters int) PolicyDisturbance {
 	if err != nil {
 		panic(err)
 	}
-	defer srv.Close()
-
-	p := parallelProc(w)
-	measure := func() []int64 {
-		samples := make([]int64, iters)
-		for i := range samples {
-			t0 := time.Now()
-			fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-			if err != nil {
-				panic(err)
-			}
-			p.Close(fd)
-			samples[i] = time.Since(t0).Nanoseconds()
-		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		return samples
-	}
-
-	// The streamer client is dialed once; rounds hand it to one goroutine
-	// at a time (measure joins the churner before the next round), so the
-	// kernel's single-flow invariant holds.
 	cl, err := policyd.Dial(w.K, "pfpolicy-disturb")
 	if err != nil {
 		panic(err)
 	}
-	defer cl.Close()
-
-	st0 := w.Engine.PublishStats()
-	res := PolicyDisturbance{Rounds: policyRounds, OpsPerSide: iters}
-	var quietSum, churnSum, pctSum float64
-	for round := 0; round < policyRounds; round++ {
-		quiet := percentileNs(measure(), 0.99)
-
-		// Churning side: a background streamer drives wave applies and
-		// tag-drains through the daemon for the whole measured window. The
-		// round only starts measuring once the first wave landed, so every
-		// churn side overlaps at least one real publish.
-		var stop atomic.Bool
-		done := make(chan struct{})
-		ready := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; ; i++ {
-				resp, err := cl.Apply("bench-wave.pft", churnWaveLines(i), 0)
-				if err != nil || !resp.OK {
-					panic(fmt.Sprintf("policychurn: wave apply: %v %s", err, resp.Err))
-				}
-				resp, err = cl.Apply("bench-drain.pft",
-					[]string{`pftables -D input --tag bench-wave.pft`}, 0)
-				if err != nil || !resp.OK {
-					panic(fmt.Sprintf("policychurn: wave drain: %v %s", err, resp.Err))
-				}
-				if i == 0 {
-					close(ready)
-				}
-				if stop.Load() {
-					return
-				}
-			}
-		}()
-		<-ready
-		churn := percentileNs(measure(), 0.99)
-		stop.Store(true)
-		<-done
-
-		quietSum += quiet
-		churnSum += churn
-		pct := (churn - quiet) / quiet * 100
-		pctSum += pct
-		if round == 0 || pct < res.BestRoundPct {
-			res.BestRoundPct = pct
-		}
-	}
-	st1 := w.Engine.PublishStats()
-	res.QuietP99Ns = quietSum / float64(policyRounds)
-	res.ChurnP99Ns = churnSum / float64(policyRounds)
-	res.Pct = pctSum / float64(policyRounds)
-	res.Publishes = st1.Publishes - st0.Publishes
-	res.DeltaCompiles = st1.DeltaCompiles - st0.DeltaCompiles
-	res.Requests = w.Engine.Stats.Requests.Load()
-	res.Accepts = w.Engine.Stats.Accepts.Load()
-	res.Drops = w.Engine.Stats.Drops.Load()
-	res.VerdictsConserved = res.Requests == res.Accepts+res.Drops
-	return res
+	return &disturbance{w: w, srv: srv, cl: cl, p: benchProc(w), st0: w.Engine.PublishStats()}
 }
 
-// percentileNs reads the q-quantile from sorted samples (nearest-rank).
-func percentileNs(sorted []int64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+func (d *disturbance) body() { openClose(d.p) }
+
+// churn starts the streamer and returns once its first wave landed, so
+// every churning round overlaps at least one real publish.
+func (d *disturbance) churn() (end func()) {
+	var stop atomic.Bool
+	done := make(chan struct{})
+	ready := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			resp, err := d.cl.Apply("bench-wave.pft", churnWaveLines(i), 0)
+			if err != nil || !resp.OK {
+				panic(fmt.Sprintf("policychurn: wave apply: %v %s", err, resp.Err))
+			}
+			resp, err = d.cl.Apply("bench-drain.pft",
+				[]string{`pftables -D input --tag bench-wave.pft`}, 0)
+			if err != nil || !resp.OK {
+				panic(fmt.Sprintf("policychurn: wave drain: %v %s", err, resp.Err))
+			}
+			if i == 0 {
+				close(ready)
+			}
+			if stop.Load() {
+				return
+			}
+		}
+	}()
+	<-ready
+	return func() {
+		stop.Store(true)
+		<-done
 	}
-	i := int(q * float64(len(sorted)-1))
-	return float64(sorted[i])
+}
+
+// close releases the world and reports the publishes that landed and
+// verdict conservation over the engine's whole lifetime.
+func (d *disturbance) close() map[string]float64 {
+	d.cl.Close()
+	d.srv.Close()
+	st, eng := d.w.Engine.PublishStats(), d.w.Engine
+	req, acc, drop := eng.Stats.Requests.Load(), eng.Stats.Accepts.Load(), eng.Stats.Drops.Load()
+	conserved := 0.0
+	if req == acc+drop {
+		conserved = 1
+	}
+	return map[string]float64{
+		"publishes":          float64(st.Publishes - d.st0.Publishes),
+		"delta_compiles":     float64(st.DeltaCompiles - d.st0.DeltaCompiles),
+		"requests":           float64(req),
+		"accepts":            float64(acc),
+		"drops":              float64(drop),
+		"verdicts_conserved": conserved,
+	}
 }
 
 func mustPolicy(err error) {
 	if err != nil {
 		panic(err)
 	}
-}
-
-// FormatPolicyChurn renders the three measurements.
-func FormatPolicyChurn(rep PolicyChurnReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Policy publish latency: full recompile vs incremental delta (NumCPU=%d GOMAXPROCS=%d)\n",
-		rep.NumCPU, rep.GOMAXPROCS)
-	fmt.Fprintf(&b, "%-12s %8s %12s %12s %12s %9s\n", "mode", "rules", "ns/publish", "p50 ns", "p99 ns", "speedup")
-	for _, c := range rep.Publish {
-		speed := ""
-		if c.Mode == "incremental" {
-			speed = fmt.Sprintf("%8.1fx", rep.SpeedupAt(c.Rules))
-		}
-		fmt.Fprintf(&b, "%-12s %8d %12.0f %12.0f %12.0f %9s\n",
-			c.Mode, c.Rules, c.NsPerPublish, c.P50Ns, c.P99Ns, speed)
-	}
-	pr := rep.Propagation
-	fmt.Fprintf(&b, "Propagation: %d worlds, %d rounds: p50=%.0fns max=%.0fns, %d stale verdicts\n",
-		pr.Worlds, pr.Rounds, pr.P50Ns, pr.MaxNs, pr.Lost)
-	d := rep.Disturbance
-	fmt.Fprintf(&b, "Open p99 disturbance while churning: quiet=%.0fns churn=%.0fns (%+.1f%%, best round %+.1f%%)\n",
-		d.QuietP99Ns, d.ChurnP99Ns, d.Pct, d.BestRoundPct)
-	fmt.Fprintf(&b, "  churn window: %d publishes (%d incremental); verdicts %d = %d + %d (conserved=%v)\n",
-		d.Publishes, d.DeltaCompiles, d.Requests, d.Accepts, d.Drops, d.VerdictsConserved)
-	return b.String()
 }

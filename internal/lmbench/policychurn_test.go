@@ -2,36 +2,39 @@ package lmbench
 
 import "testing"
 
-// TestPolicyChurnSmoke runs the whole control-plane measurement at tiny
-// parameters and checks the structural invariants the pfbench gate reads.
+// TestPolicyChurnSmoke runs every control-plane cell at tiny parameters and
+// checks the structural invariants the gates read.
 func TestPolicyChurnSmoke(t *testing.T) {
-	rep := RunPolicyChurn(20, 200, []int{100, 400})
-	if len(rep.Publish) != 4 {
-		t.Fatalf("publish sweep has %d cells, want 4", len(rep.Publish))
+	rs := runSmall(policyCells([]int{100, 400}, 200), 0, 3)
+	if len(rs) != 4 {
+		t.Fatalf("policy cells = %d, want 2 publish + propagation + disturbance", len(rs))
 	}
-	for _, c := range rep.Publish {
-		if c.NsPerPublish <= 0 || c.Publishes == 0 {
-			t.Errorf("degenerate cell %+v", c)
+	for _, r := range rs[:2] {
+		if r.A.MedianNs <= 0 || r.B.MedianNs <= 0 || r.B.Extra["publishes"] == 0 {
+			t.Errorf("degenerate publish cell %+v", r)
+		}
+		if s := 1 / r.Ratio.Median; s <= 0 {
+			t.Errorf("%s: no speedup computable (got %f)", r.Name, s)
 		}
 	}
-	if s := rep.SpeedupAt(rep.MaxPublishSize()); s <= 0 {
-		t.Errorf("no speedup computable at max size (got %f)", s)
+	if len(rs[1].Gates) != 1 || len(rs[0].Gates) != 0 {
+		t.Errorf("the speedup gate belongs to the largest size only: %+v / %+v", rs[0].Gates, rs[1].Gates)
 	}
-	if rep.Propagation.Lost != 0 {
-		t.Errorf("%d stale verdicts after synchronous publishes", rep.Propagation.Lost)
+	pr := rs[2]
+	if pr.B.Extra["stale_verdicts"] != 0 || !pr.Gates[0].OK {
+		t.Errorf("%v stale verdicts after synchronous publishes", pr.B.Extra["stale_verdicts"])
 	}
-	if rep.Propagation.MaxNs <= 0 {
+	if pr.B.MedianNs <= 0 {
 		t.Error("propagation measured nothing")
 	}
-	d := rep.Disturbance
-	if !d.VerdictsConserved {
-		t.Errorf("verdicts not conserved: %d != %d + %d", d.Requests, d.Accepts, d.Drops)
+	d := rs[3]
+	if d.B.Extra["verdicts_conserved"] != 1 || !d.Gates[0].OK {
+		t.Errorf("verdicts not conserved: %v != %v + %v", d.B.Extra["requests"], d.B.Extra["accepts"], d.B.Extra["drops"])
 	}
-	if d.Publishes == 0 || d.DeltaCompiles == 0 {
-		t.Errorf("churn side published nothing (%d publishes, %d delta)", d.Publishes, d.DeltaCompiles)
+	if d.B.Extra["publishes"] == 0 || d.B.Extra["delta_compiles"] == 0 {
+		t.Errorf("churn side published nothing (%v publishes, %v delta)", d.B.Extra["publishes"], d.B.Extra["delta_compiles"])
 	}
-	if d.QuietP99Ns <= 0 || d.ChurnP99Ns <= 0 {
+	if d.Stat != "p99" || d.A.MedianNs <= 0 || d.B.MedianNs <= 0 {
 		t.Error("disturbance percentiles degenerate")
 	}
-	_ = FormatPolicyChurn(rep)
 }

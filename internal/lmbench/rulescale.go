@@ -1,44 +1,22 @@
 // rulescale.go measures how per-mediation cost scales with the size of the
-// installed rule base — the BENCH_rulescale.json trajectory. Two engine
-// modes are compared at each size: "linear" is the paper's fully optimized
-// configuration (EPTSPC: context caching, lazy context, entrypoint chains)
-// whose generic rules are still walked linearly, and "compiled" adds the
-// publish-time dispatch index (pf.Config.RuleIndex), which should hold
-// ns/op nearly flat as the rule count grows.
+// installed rule base. Each cell pairs two engine modes at one size:
+// "linear" is the paper's fully optimized configuration (EPTSPC: context
+// caching, lazy context, entrypoint chains) whose generic rules are still
+// walked linearly, and "compiled" adds the publish-time dispatch index
+// (pf.Config.RuleIndex), which should hold ns/op nearly flat as the rule
+// count grows.
 package lmbench
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
-	"time"
 
-	"pfirewall/internal/kernel"
 	"pfirewall/internal/pf"
 	"pfirewall/internal/programs"
 	"pfirewall/internal/rulegen"
 )
 
-// RuleScaleCell is one (mode, rule-count) measurement.
-type RuleScaleCell struct {
-	Mode    string  `json:"mode"` // "linear" or "compiled"
-	Rules   int     `json:"rules"`
-	Ops     int     `json:"ops"`
-	NsPerOp float64 `json:"ns_per_op"`
-	// Allocation rate over the measured interval (MemStats deltas).
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-}
-
-// RuleScaleReport is the full sweep.
-type RuleScaleReport struct {
-	BenchEnv
-	Workload string          `json:"workload"`
-	Cells    []RuleScaleCell `json:"cells"`
-}
-
-// ruleScaleModes maps report mode names to engine configs. Both sides carry
-// every paper optimization so the delta isolates the dispatch index.
+// ruleScaleModes maps side names to engine configs. Both sides carry
+// every paper optimization so the ratio isolates the dispatch index.
 var ruleScaleModes = []struct {
 	name string
 	cfg  pf.Config
@@ -47,70 +25,24 @@ var ruleScaleModes = []struct {
 	{"compiled", pf.Config{CtxCache: true, LazyCtx: true, EptChains: true, RuleIndex: true}},
 }
 
-// RunRuleScale sweeps the generated rule base over sizes for both modes,
-// timing the mediated open+close pair (two PF hooks plus directory-search
-// mediation per component — the workload most sensitive to rule-base size).
-func RunRuleScale(iters int, sizes []int) RuleScaleReport {
-	if iters < 1 {
-		iters = 1
-	}
-	rep := RuleScaleReport{
-		BenchEnv: Env(),
-		Workload: "open+close",
-	}
-	for _, m := range ruleScaleModes {
-		for _, n := range sizes {
-			cfg := m.cfg
-			w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-			if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, n)); err != nil {
-				panic(err)
-			}
-			p := parallelProc(w)
-			body := func() {
-				fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-				if err != nil {
+// ruleScaleCells times the mediated open+close pair (two PF hooks plus
+// directory-search mediation per component — the workload most sensitive
+// to rule-base size) on the generated rule base of each size.
+func ruleScaleCells(sizes []int) []Cell {
+	var out []Cell
+	for _, n := range sizes {
+		var sides [2]Side
+		for i, m := range ruleScaleModes {
+			sides[i] = Side{Name: m.name, Setup: func() Instance {
+				cfg := m.cfg
+				w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
+				if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, n)); err != nil {
 					panic(err)
 				}
-				p.Close(fd)
-			}
-			for i := 0; i < iters/10+1; i++ {
-				body()
-			}
-			runtime.GC()
-			m0 := readMem()
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				body()
-			}
-			el := time.Since(start)
-			m1 := readMemNow()
-			rep.Cells = append(rep.Cells, RuleScaleCell{
-				Mode:        m.name,
-				Rules:       n,
-				Ops:         iters,
-				NsPerOp:     float64(el.Nanoseconds()) / float64(iters),
-				AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(iters),
-				BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(iters),
-			})
+				return Instance{Bodies: procBodies(w, 1, openClose)}
+			}}
 		}
+		out = append(out, Cell{Name: fmt.Sprintf("rulescale/rules=%d", n), A: &sides[0], B: sides[1]})
 	}
-	return rep
-}
-
-// FormatRuleScale renders the sweep as a table with growth factors
-// relative to each mode's smallest size.
-func FormatRuleScale(rep RuleScaleReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Rule-base scaling, %s (ns/op; NumCPU=%d GOMAXPROCS=%d)\n",
-		rep.Workload, rep.NumCPU, rep.GOMAXPROCS)
-	fmt.Fprintf(&b, "%-10s %10s %12s %8s %10s\n", "mode", "rules", "ns/op", "vs min", "allocs/op")
-	base := map[string]float64{}
-	for _, c := range rep.Cells {
-		if _, ok := base[c.Mode]; !ok {
-			base[c.Mode] = c.NsPerOp
-		}
-		fmt.Fprintf(&b, "%-10s %10d %12.1f %7.2fx %10.2f\n",
-			c.Mode, c.Rules, c.NsPerOp, c.NsPerOp/base[c.Mode], c.AllocsPerOp)
-	}
-	return b.String()
+	return out
 }

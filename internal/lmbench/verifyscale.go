@@ -1,5 +1,4 @@
-// verifyscale.go measures the symbolic policy verifier — the
-// BENCH_verify.json artifact. The question: how does a full invariant
+// verifyscale.go measures the symbolic policy verifier. The question: how does a full invariant
 // sweep (pfverify.Check over every abstract point in scope) scale with
 // the installed rule-base size? The verifier prunes with the same
 // bucket-level dispatch index the hot path compiled (per-lane rule lists
@@ -10,7 +9,6 @@ package lmbench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"pfirewall/internal/pf"
@@ -19,12 +17,8 @@ import (
 	"pfirewall/internal/rulegen"
 )
 
-// VerifyScaleSizes is the standard sweep: small, the paper-scale base,
-// and deployment scale.
-var VerifyScaleSizes = []int{100, 1200, 10000}
-
-// VerifyBudget is the wall-clock budget for one full invariant sweep at
-// the largest standard size; the gate (pfbench -verify-gate) enforces it.
+// VerifyBudget is the wall-clock budget for one full invariant sweep; the
+// gate holds every round of every size to it.
 const VerifyBudget = 10 * time.Second
 
 // verifyGuardRules are prepended to the synthetic base so the bench
@@ -56,93 +50,58 @@ invariant scale-guard-open {
 }
 `
 
-// VerifyScaleCell is one rule-base size's sweep measurement.
-type VerifyScaleCell struct {
-	Rules      int `json:"rules"`
-	Labels     int `json:"labels"`
-	Invariants int `json:"invariants"`
-	Points     int `json:"points"`
-	// Holds: every invariant proven (the bench seeds no violations, so
-	// anything else is a verifier regression).
-	Holds      bool    `json:"holds"`
-	TotalNs    int64   `json:"total_ns"`
-	NsPerPoint float64 `json:"ns_per_point"`
-}
-
-// VerifyScaleReport is the full verifier-scale measurement.
-type VerifyScaleReport struct {
-	BenchEnv
-	BudgetNs int64             `json:"budget_ns"`
-	Cells    []VerifyScaleCell `json:"cells"`
-}
-
-// WithinBudget reports whether the largest swept cell finished inside
-// VerifyBudget.
-func (rep *VerifyScaleReport) WithinBudget() bool {
-	for _, c := range rep.Cells {
-		if c.TotalNs > rep.BudgetNs {
-			return false
-		}
+// verifyCells times one full pfverify.Check sweep of the bench invariants
+// per op, over synthetic rule bases of each size.
+func verifyCells(sizes []int) []Cell {
+	var out []Cell
+	for _, n := range sizes {
+		out = append(out, Cell{Name: fmt.Sprintf("verify/rules=%d", n),
+			B: Side{Name: "sweep", Setup: func() Instance { return verifyInstance(n) }},
+			Gates: []Gate{{Name: "every invariant proves within " + VerifyBudget.String(), Check: func(r *Result) error {
+				if r.B.Extra["holds"] != 1 {
+					return fmt.Errorf("invariants not proven at %.0f rules", r.B.Extra["rules"])
+				}
+				for _, ns := range r.B.RoundNs {
+					if time.Duration(ns) > VerifyBudget {
+						return fmt.Errorf("a sweep took %s, budget %s", time.Duration(ns), VerifyBudget)
+					}
+				}
+				return nil
+			}}},
+		})
 	}
-	return true
+	return out
 }
 
-// RunVerifyScale sweeps the bench invariants over synthetic rule bases of
-// each size and times the full Check pass (one warm-up sweep per cell, so
-// lazily-derived engine state is settled before the measured run).
-func RunVerifyScale(sizes []int) VerifyScaleReport {
-	if len(sizes) == 0 {
-		sizes = VerifyScaleSizes
-	}
-	rep := VerifyScaleReport{BenchEnv: Env(), BudgetNs: VerifyBudget.Nanoseconds()}
+func verifyInstance(n int) Instance {
 	invs, err := pfverify.ParseInvariants("<verifyscale>", verifyInvariants)
 	if err != nil {
 		panic(err)
 	}
-	for _, n := range sizes {
-		cfg := pf.Optimized()
-		w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-		lines := append(append([]string{}, verifyGuardRules...), rulegen.ScaleRuleBase(1, n)...)
-		if _, err := w.InstallRules(lines); err != nil {
-			panic(err)
-		}
-		tbl := w.K.Policy.SIDs()
-		ev := pfverify.FromEngine(w.Engine)
-		pfverify.Check(ev, tbl, invs) // warm-up
-		t0 := time.Now()
-		chk := pfverify.Check(pfverify.FromEngine(w.Engine), tbl, invs)
-		elapsed := time.Since(t0).Nanoseconds()
-		cell := VerifyScaleCell{
-			Rules:      w.Engine.RuleCount(),
-			Labels:     len(tbl.Labels()),
-			Invariants: len(chk.Results),
-			Points:     chk.Points,
-			Holds:      true,
-			TotalNs:    elapsed,
-		}
-		for _, res := range chk.Results {
-			if !res.Holds || !res.Definitely {
-				cell.Holds = false
+	cfg := pf.Optimized()
+	w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
+	lines := append(append([]string{}, verifyGuardRules...), rulegen.ScaleRuleBase(1, n)...)
+	if _, err := w.InstallRules(lines); err != nil {
+		panic(err)
+	}
+	tbl := w.K.Policy.SIDs()
+	var chk *pfverify.Report
+	return Instance{
+		Bodies: []func(){func() { chk = pfverify.Check(pfverify.FromEngine(w.Engine), tbl, invs) }},
+		Done: func() map[string]float64 {
+			holds := 1.0
+			for _, res := range chk.Results {
+				if !res.Holds || !res.Definitely {
+					holds = 0
+				}
 			}
-		}
-		if chk.Points > 0 {
-			cell.NsPerPoint = float64(elapsed) / float64(chk.Points)
-		}
-		rep.Cells = append(rep.Cells, cell)
+			return map[string]float64{
+				"rules":      float64(w.Engine.RuleCount()),
+				"labels":     float64(len(tbl.Labels())),
+				"invariants": float64(len(chk.Results)),
+				"points":     float64(chk.Points),
+				"holds":      holds,
+			}
+		},
 	}
-	return rep
-}
-
-// FormatVerifyScale renders the sweep.
-func FormatVerifyScale(rep VerifyScaleReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Verifier scaling: full invariant sweep vs rule-base size (budget %s, NumCPU=%d GOMAXPROCS=%d)\n",
-		time.Duration(rep.BudgetNs), rep.NumCPU, rep.GOMAXPROCS)
-	fmt.Fprintf(&b, "%8s %8s %6s %8s %6s %12s %10s\n", "rules", "labels", "invs", "points", "holds", "sweep", "ns/point")
-	for _, c := range rep.Cells {
-		fmt.Fprintf(&b, "%8d %8d %6d %8d %6v %12s %10.0f\n",
-			c.Rules, c.Labels, c.Invariants, c.Points, c.Holds,
-			time.Duration(c.TotalNs).Round(time.Microsecond), c.NsPerPoint)
-	}
-	return b.String()
 }

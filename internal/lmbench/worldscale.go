@@ -1,16 +1,14 @@
 // worldscale.go sweeps the fleet stress bed across world sizes and fleet
 // sizes: for each (world, fleet) cell a deployment-scale world is built
-// from scratch (fresh engine, fresh counters), a mixed daemon fleet
-// serves traffic against it for a fixed wall-clock budget with live
-// process churn, concurrent rule mutation, and adversary filesystem
-// noise, and the cell records throughput, mediation-path latency
-// percentiles, and the churn/conservation accounting. BENCH_worldscale.json
-// is this report; every later performance PR runs against it.
+// from scratch (fresh engine, fresh counters), and every op body runs a
+// mixed daemon fleet against it for a fixed wall-clock budget with live
+// process churn, concurrent rule mutation and adversary filesystem noise.
+// One op is one persona operation, so ns/op is inverse fleet throughput;
+// the extras carry the tail latency and the churn/conservation accounting.
 package lmbench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"pfirewall/internal/fleet"
@@ -19,125 +17,62 @@ import (
 	"pfirewall/internal/worldgen"
 )
 
-// WorldScaleFleets is the default fleet-size grid.
-var WorldScaleFleets = []int{4, 8}
+// worldScaleSeed drives both world generation and fleet schedules.
+const worldScaleSeed = 1
 
-// WorldScaleSizes is the default world grid: the top size crosses a
-// million inodes.
-var WorldScaleSizes = []string{"small", "medium", "large"}
+// worldScaleRounds is the round count of a fleet cell: each round already
+// holds the fleet under traffic for a whole run.
+const worldScaleRounds = 3
 
-// WorldScaleCell is one (world size, fleet size) run.
-type WorldScaleCell struct {
-	World   string  `json:"world"`
-	Inodes  int     `json:"inodes"`
-	Users   int     `json:"users"`
-	Labels  int     `json:"labels"`
-	Rules   int     `json:"rules"`
-	BuildMs float64 `json:"build_ms"`
-
-	FleetSize int     `json:"fleet_size"`
-	Seconds   float64 `json:"seconds"`
-	Ops       int64   `json:"ops"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Ns     float64 `json:"p50_ns"`
-	P99Ns     float64 `json:"p99_ns"`
-	P999Ns    float64 `json:"p999_ns"`
-
-	Crashes       int64  `json:"crashes"`
-	Restarts      int64  `json:"restarts"`
-	RuleMutations uint64 `json:"rule_mutations"`
-	AdversaryOps  uint64 `json:"adversary_ops"`
-
-	ExpectedDenies    int64 `json:"expected_denies"`
-	UnexpectedAllows  int64 `json:"unexpected_allows"`
-	UnexpectedErrors  int64 `json:"unexpected_errors"`
-	VerdictsConserved bool  `json:"verdicts_conserved"`
-}
-
-// WorldScaleReport is the full sweep; BENCH_worldscale.json is this shape.
-type WorldScaleReport struct {
-	BenchEnv
-	Seed        uint64           `json:"seed"`
-	SecsPerCell float64          `json:"secs_per_cell"`
-	Cells       []WorldScaleCell `json:"cells"`
-}
-
-// RunWorldScale runs the sweep. sizes name worldgen presets, fleets are
-// instance counts, secsPerCell is the per-cell traffic budget, and seed
-// drives both world generation and fleet schedules.
-func RunWorldScale(sizes []string, fleets []int, secsPerCell float64, seed uint64) WorldScaleReport {
-	if secsPerCell <= 0 {
-		secsPerCell = 2
-	}
-	rep := WorldScaleReport{BenchEnv: Env(), Seed: seed, SecsPerCell: secsPerCell}
+func worldScaleCells(sizes []string, fleets []int, run time.Duration) []Cell {
+	var out []Cell
 	for _, name := range sizes {
 		spec, ok := worldgen.SpecByName(name)
 		if !ok {
 			panic(fmt.Sprintf("worldscale: unknown world size %q", name))
 		}
-		spec.Seed = seed
+		spec.Seed = worldScaleSeed
 		for _, f := range fleets {
-			// Fresh world per cell: the engine's verdict counters start at
-			// zero, so conservation and throughput are cell-local.
-			cfg := pf.Optimized()
-			w := worldgen.Build(spec, programs.WorldOpts{PF: &cfg, MACEnforcing: true})
-			fl := fleet.New(w, fleet.Config{
-				Seed:      seed,
-				Instances: f,
-				Duration:  time.Duration(secsPerCell * float64(time.Second)),
-				RuleChurn: true, ProcChurn: true, AdversaryChurn: true,
-			})
-			r := fl.Run()
-			rep.Cells = append(rep.Cells, WorldScaleCell{
-				World:   spec.Name,
-				Inodes:  w.Stats.Inodes,
-				Users:   w.Stats.Users,
-				Labels:  w.Stats.Labels,
-				Rules:   w.Stats.Rules,
-				BuildMs: w.Stats.BuildMs,
-
-				FleetSize: f,
-				Seconds:   r.Seconds,
-				Ops:       r.Ops,
-				OpsPerSec: r.OpsPerSec,
-				P50Ns:     r.P50Ns,
-				P99Ns:     r.P99Ns,
-				P999Ns:    r.P999Ns,
-
-				Crashes:       r.Crashes,
-				Restarts:      r.Restarts,
-				RuleMutations: r.RuleMutations,
-				AdversaryOps:  r.AdversaryOps,
-
-				ExpectedDenies:    r.ExpectedDenies,
-				UnexpectedAllows:  r.UnexpectedAllows,
-				UnexpectedErrors:  r.UnexpectedErrors,
-				VerdictsConserved: r.VerdictsConserved,
-			})
+			out = append(out, Cell{Name: fmt.Sprintf("worldscale/%s/fleet=%d", name, f), Iters: 1, Rounds: worldScaleRounds,
+				B: Side{Name: "fleet", Setup: func() Instance { return fleetInstance(spec, f, run) }}})
 		}
 	}
-	return rep
+	return out
 }
 
-// FormatWorldScale renders the sweep as a table.
-func FormatWorldScale(rep WorldScaleReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %9s %6s %6s %9s %12s %10s %10s %10s %8s %6s\n",
-		"world", "inodes", "rules", "fleet", "ops", "ops/sec", "p50 ns", "p99 ns", "p99.9 ns", "denies", "churn")
-	for _, c := range rep.Cells {
-		churn := fmt.Sprintf("%d/%d", c.Crashes, c.Restarts)
-		fmt.Fprintf(&b, "%-8s %9d %6d %6d %9d %12.0f %10.0f %10.0f %10.0f %8d %6s",
-			c.World, c.Inodes, c.Rules, c.FleetSize, c.Ops, c.OpsPerSec,
-			c.P50Ns, c.P99Ns, c.P999Ns, c.ExpectedDenies, churn)
-		if !c.VerdictsConserved {
-			fmt.Fprintf(&b, "  VERDICTS-LOST")
-		}
-		if c.UnexpectedAllows != 0 || c.UnexpectedErrors != 0 {
-			fmt.Fprintf(&b, "  UNEXPECTED(a=%d e=%d)", c.UnexpectedAllows, c.UnexpectedErrors)
-		}
-		fmt.Fprintf(&b, "\n")
+func fleetInstance(spec worldgen.Spec, instances int, run time.Duration) Instance {
+	cfg := pf.Optimized()
+	w := worldgen.Build(spec, programs.WorldOpts{PF: &cfg, MACEnforcing: true})
+	var ops int64
+	var last fleet.Report
+	extra := map[string]float64{}
+	return Instance{
+		Bodies: []func(){func() {
+			last = fleet.New(w, fleet.Config{
+				Seed:      worldScaleSeed,
+				Instances: instances,
+				Duration:  run,
+				RuleChurn: true, ProcChurn: true, AdversaryChurn: true,
+			}).Run()
+			ops += last.Ops
+			extra["crashes"] += float64(last.Crashes)
+			extra["restarts"] += float64(last.Restarts)
+			extra["rule_mutations"] += float64(last.RuleMutations)
+			extra["expected_denies"] += float64(last.ExpectedDenies)
+			extra["unexpected_allows"] += float64(last.UnexpectedAllows)
+			extra["unexpected_errors"] += float64(last.UnexpectedErrors)
+		}},
+		Count: func() int64 { return ops },
+		Done: func() map[string]float64 {
+			extra["inodes"] = float64(w.Stats.Inodes)
+			extra["rules"] = float64(w.Stats.Rules)
+			extra["build_ms"] = w.Stats.BuildMs
+			extra["p50_ns"], extra["p99_ns"], extra["p999_ns"] = last.P50Ns, last.P99Ns, last.P999Ns
+			extra["verdicts_conserved"] = 0
+			if last.VerdictsConserved {
+				extra["verdicts_conserved"] = 1
+			}
+			return extra
+		},
 	}
-	fmt.Fprintf(&b, "(NumCPU=%d GOMAXPROCS=%d; one op is a full persona operation — page serve, include, login session, bus round trip — under live rule/process churn; churn is crashes/restarts)\n",
-		rep.NumCPU, rep.GOMAXPROCS)
-	return b.String()
 }

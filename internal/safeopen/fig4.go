@@ -2,9 +2,7 @@ package safeopen
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
 	"pfirewall/internal/kernel"
 	"pfirewall/internal/pf"
@@ -69,76 +67,4 @@ func Figure4World(n int, withPF bool) (*programs.World, *kernel.Proc, string) {
 	}
 	p := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
 	return w, p, path
-}
-
-// Cell is one (variant, n) measurement.
-type Cell struct {
-	Variant string
-	PathLen int
-	NsPerOp float64
-}
-
-// Run measures every variant at every path length with iters iterations.
-func Run(iters int) []Cell {
-	var out []Cell
-	for _, n := range PaperPathLens {
-		for _, v := range Variants() {
-			out = append(out, RunCell(v, n, iters))
-		}
-	}
-	return out
-}
-
-// RunCell measures one cell.
-func RunCell(v Variant, n, iters int) Cell {
-	_, p, path := Figure4World(n, v.NeedsPF)
-	// Warm up, then isolate from earlier cells' garbage.
-	for i := 0; i < iters/10+1; i++ {
-		fd, err := v.Open(p, path)
-		if err != nil {
-			panic(fmt.Sprintf("fig4 %s n=%d: %v", v.Name, n, err))
-		}
-		p.Close(fd)
-	}
-	runtime.GC()
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		fd, _ := v.Open(p, path)
-		p.Close(fd)
-	}
-	elapsed := time.Since(start)
-	return Cell{Variant: v.Name, PathLen: n, NsPerOp: float64(elapsed.Nanoseconds()) / float64(iters)}
-}
-
-// Format renders the cells grouped by path length, with overhead relative
-// to the bare open, mirroring the paper's bar chart.
-func Format(cells []Cell) string {
-	base := map[int]float64{}
-	for _, c := range cells {
-		if c.Variant == "open" {
-			base[c.PathLen] = c.NsPerOp
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", "variant")
-	for _, n := range PaperPathLens {
-		fmt.Fprintf(&b, "n=%-18d", n)
-	}
-	b.WriteString("\n")
-	for _, v := range Variants() {
-		fmt.Fprintf(&b, "%-14s", v.Name)
-		for _, n := range PaperPathLens {
-			for _, c := range cells {
-				if c.Variant == v.Name && c.PathLen == n {
-					over := 0.0
-					if base[n] > 0 {
-						over = (c.NsPerOp - base[n]) / base[n] * 100
-					}
-					fmt.Fprintf(&b, "%-20s", fmt.Sprintf("%.0fns (%+.0f%%)", c.NsPerOp, over))
-				}
-			}
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }

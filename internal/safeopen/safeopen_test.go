@@ -2,7 +2,6 @@ package safeopen
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"pfirewall/internal/kernel"
@@ -299,29 +298,6 @@ func TestSyscallCostOrdering(t *testing.T) {
 	// Chari et al.: at least 4 extra syscalls per component for safe_open.
 	if safe < open+4*3 {
 		t.Errorf("safe_open = %d syscalls; expected ≥ %d for 3 components", safe, open+12)
-	}
-}
-
-func TestFigure4Harness(t *testing.T) {
-	// Each variant completes at every paper path length and the harness
-	// labels cells correctly.
-	for _, n := range PaperPathLens {
-		for _, v := range Variants() {
-			c := RunCell(v, n, 10)
-			if c.NsPerOp <= 0 || c.Variant != v.Name || c.PathLen != n {
-				t.Errorf("cell %+v", c)
-			}
-		}
-	}
-}
-
-func TestFigure4Format(t *testing.T) {
-	cells := Run(5)
-	out := Format(cells)
-	for _, want := range []string{"safe_open", "safe_open_PF", "open_race", "n=7"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("format missing %q:\n%s", want, out)
-		}
 	}
 }
 

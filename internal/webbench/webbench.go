@@ -6,7 +6,6 @@ package webbench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -92,14 +91,6 @@ func DeepPath(n int) string {
 	return strings.Repeat("/d", n-1) + "/index.html"
 }
 
-// Figure5Cell is one (mode, clients, pathlen) measurement.
-type Figure5Cell struct {
-	Mode    string // "program" or "pf-rules"
-	Clients int
-	PathLen int
-	Result  WebResult
-}
-
 // Figure5Params are the paper's parameter grid.
 var (
 	Figure5Clients  = []int{1, 10, 200}
@@ -134,52 +125,6 @@ func NewFigure5World(mode string, pathLen int) (*programs.World, *programs.Apach
 	default:
 		panic("webbench: unknown mode " + mode)
 	}
-}
-
-// RunFigure5 measures the full grid; perClient is the number of requests
-// each concurrent client issues.
-func RunFigure5(perClient int) []Figure5Cell {
-	var cells []Figure5Cell
-	for _, mode := range []string{"program", "pf-rules"} {
-		for _, c := range Figure5Clients {
-			for _, n := range Figure5PathLens {
-				w, a := NewFigure5World(mode, n)
-				// Warm-up pass to populate allocator and caches.
-				RunWeb(w, a, c, c*minPerClient, DeepPath(n))
-				res := RunWeb(w, a, c, c*perClient, DeepPath(n))
-				cells = append(cells, Figure5Cell{Mode: mode, Clients: c, PathLen: n, Result: res})
-			}
-		}
-	}
-	return cells
-}
-
-// FormatFigure5 renders the grid with the PF-over-program improvement.
-func FormatFigure5(cells []Figure5Cell) string {
-	prog := map[[2]int]WebResult{}
-	pfr := map[[2]int]WebResult{}
-	for _, c := range cells {
-		k := [2]int{c.Clients, c.PathLen}
-		if c.Mode == "program" {
-			prog[k] = c.Result
-		} else {
-			pfr[k] = c.Result
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %-14s %-14s %-10s\n", "c,n", "program req/s", "pf-rules req/s", "gain")
-	for _, c := range Figure5Clients {
-		for _, n := range Figure5PathLens {
-			k := [2]int{c, n}
-			p, q := prog[k], pfr[k]
-			gain := 0.0
-			if p.ReqPerSec > 0 {
-				gain = (q.ReqPerSec - p.ReqPerSec) / p.ReqPerSec * 100
-			}
-			fmt.Fprintf(&b, "c=%-4d n=%-6d %-14.0f %-14.0f %+.1f%%\n", c, n, p.ReqPerSec, q.ReqPerSec, gain)
-		}
-	}
-	return b.String()
 }
 
 // --- Table 7 macrobenchmarks -------------------------------------------
@@ -332,106 +277,6 @@ rm /tmp/svc%d.pid
 	fs.WriteFile(n, []byte(body))
 }
 
-// MacroResult is one Table 7 cell: the mean of several runs, as the paper
-// reports means over 30 runs.
-type MacroResult struct {
-	Benchmark string
-	Config    string
-	Elapsed   time.Duration // mean per run
-	Runs      int
-}
-
-// Table7Runs is how many timed repetitions each cell gets (after a
-// warm-up); the paper used 30.
-const Table7Runs = 10
-
 // Table7WebClients are the web concurrency levels of Table 7 (the paper's
-// Web1 and Web1000 rows). A variable so tests can shrink the grid.
+// Web1 and Web1000 rows).
 var Table7WebClients = []int{1, 1000}
-
-// timeRuns runs body warm+Table7Runs times and returns the mean. A forced
-// collection beforehand isolates cells from each other's garbage.
-func timeRuns(body func()) time.Duration {
-	body() // warm-up
-	runtime.GC()
-	start := time.Now()
-	for i := 0; i < Table7Runs; i++ {
-		body()
-	}
-	return time.Since(start) / Table7Runs
-}
-
-// RunTable7 measures the macrobenchmarks across the three configurations.
-// scale controls workload size (build units / boot services / web requests).
-func RunTable7(scale int, fullRules []string) []MacroResult {
-	var out []MacroResult
-	for _, cfg := range MacroConfigs() {
-		// Apache build.
-		w := NewMacroWorld(cfg, fullRules)
-		mean := timeRuns(func() {
-			if err := ApacheBuild(w, scale); err != nil {
-				panic(fmt.Sprintf("apache build (%s): %v", cfg.Name, err))
-			}
-		})
-		out = append(out, MacroResult{"Apache Build", cfg.Name, mean, Table7Runs})
-
-		// Boot.
-		w = NewMacroWorld(cfg, fullRules)
-		mean = timeRuns(func() {
-			if err := Boot(w, scale/2+1); err != nil {
-				panic(fmt.Sprintf("boot (%s): %v", cfg.Name, err))
-			}
-		})
-		out = append(out, MacroResult{"Boot", cfg.Name, mean, Table7Runs})
-
-		// Web with 1 and 1000 concurrent clients.
-		for _, clients := range Table7WebClients {
-			w = NewMacroWorld(cfg, fullRules)
-			a := programs.NewApache(w)
-			mean = timeRuns(func() {
-				res := RunWeb(w, a, clients, scale*10, "/index.html")
-				if res.Errors > 0 {
-					panic(fmt.Sprintf("web (%s): %d errors", cfg.Name, res.Errors))
-				}
-			})
-			out = append(out, MacroResult{fmt.Sprintf("Web%d", clients), cfg.Name, mean, Table7Runs})
-		}
-	}
-	return out
-}
-
-// FormatTable7 renders macro results with overhead versus "Without PF".
-func FormatTable7(results []MacroResult) string {
-	base := map[string]time.Duration{}
-	order := []string{}
-	byCell := map[string]map[string]time.Duration{}
-	for _, r := range results {
-		if byCell[r.Benchmark] == nil {
-			byCell[r.Benchmark] = map[string]time.Duration{}
-			order = append(order, r.Benchmark)
-		}
-		byCell[r.Benchmark][r.Config] = r.Elapsed
-		if r.Config == "Without PF" {
-			base[r.Benchmark] = r.Elapsed
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", "Benchmark")
-	for _, cfg := range MacroConfigs() {
-		fmt.Fprintf(&b, "%-26s", cfg.Name)
-	}
-	b.WriteString("\n")
-	for _, bench := range order {
-		fmt.Fprintf(&b, "%-14s", bench)
-		for _, cfg := range MacroConfigs() {
-			v := byCell[bench][cfg.Name]
-			over := 0.0
-			if base[bench] > 0 {
-				over = (v.Seconds() - base[bench].Seconds()) / base[bench].Seconds() * 100
-			}
-			fmt.Fprintf(&b, "%-26s", fmt.Sprintf("%v (%+.1f%%)", v.Round(time.Microsecond), over))
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}

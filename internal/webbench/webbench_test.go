@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"pfirewall/internal/lmbench"
 	"pfirewall/internal/programs"
 )
 
@@ -87,25 +86,6 @@ func TestSymlinkOwnerRuleParses(t *testing.T) {
 	}
 }
 
-func TestApacheBuildAndBootComplete(t *testing.T) {
-	for _, cfg := range MacroConfigs() {
-		w := NewMacroWorld(cfg, lmbench.SyntheticRuleBase(64))
-		if err := ApacheBuild(w, 5); err != nil {
-			t.Errorf("%s build: %v", cfg.Name, err)
-		}
-		// Repeatable (cleanup must be complete).
-		if err := ApacheBuild(w, 5); err != nil {
-			t.Errorf("%s build rerun: %v", cfg.Name, err)
-		}
-		if err := Boot(w, 3); err != nil {
-			t.Errorf("%s boot: %v", cfg.Name, err)
-		}
-		if err := Boot(w, 3); err != nil {
-			t.Errorf("%s boot rerun: %v", cfg.Name, err)
-		}
-	}
-}
-
 func TestMacroConfigsMatchPaperColumns(t *testing.T) {
 	want := []string{"Without PF", "PF Base", "PF Full"}
 	cfgs := MacroConfigs()
@@ -113,28 +93,6 @@ func TestMacroConfigsMatchPaperColumns(t *testing.T) {
 		if c.Name != want[i] {
 			t.Errorf("config %d = %q", i, c.Name)
 		}
-	}
-}
-
-func TestFormatFigure5(t *testing.T) {
-	cells := []Figure5Cell{
-		{Mode: "program", Clients: 1, PathLen: 1, Result: WebResult{ReqPerSec: 100}},
-		{Mode: "pf-rules", Clients: 1, PathLen: 1, Result: WebResult{ReqPerSec: 110}},
-	}
-	out := FormatFigure5(cells)
-	if !strings.Contains(out, "+10.0%") {
-		t.Errorf("format:\n%s", out)
-	}
-}
-
-func TestFormatTable7(t *testing.T) {
-	out := FormatTable7([]MacroResult{
-		{Benchmark: "Boot", Config: "Without PF", Elapsed: 1000000},
-		{Benchmark: "Boot", Config: "PF Base", Elapsed: 1100000},
-		{Benchmark: "Boot", Config: "PF Full", Elapsed: 1500000},
-	})
-	if !strings.Contains(out, "Boot") || !strings.Contains(out, "+50.0%") {
-		t.Errorf("format:\n%s", out)
 	}
 }
 
@@ -159,43 +117,5 @@ func TestProgramChecksCostMoreSyscallsThanRule(t *testing.T) {
 	progDeep, ruleDeep := count("program", 9), count("pf-rules", 9)
 	if progDeep-ruleDeep <= prog-rule {
 		t.Errorf("syscall gap should grow with path length: %d vs %d", progDeep-ruleDeep, prog-rule)
-	}
-}
-
-func TestRunTable7SmallGrid(t *testing.T) {
-	// Shrink the grid so the full harness path runs in test time.
-	oldClients := Table7WebClients
-	Table7WebClients = []int{1}
-	defer func() { Table7WebClients = oldClients }()
-
-	results := RunTable7(2, lmbench.SyntheticRuleBase(16))
-	// 3 configs × (build + boot + 1 web row).
-	if len(results) != 9 {
-		t.Fatalf("results = %d, want 9", len(results))
-	}
-	for _, r := range results {
-		if r.Elapsed <= 0 || r.Runs != Table7Runs {
-			t.Errorf("cell %+v", r)
-		}
-	}
-	out := FormatTable7(results)
-	if !strings.Contains(out, "Apache Build") || !strings.Contains(out, "PF Full") {
-		t.Errorf("format:\n%s", out)
-	}
-}
-
-func TestRunFigure5SmallGrid(t *testing.T) {
-	oldC, oldN := Figure5Clients, Figure5PathLens
-	Figure5Clients, Figure5PathLens = []int{1}, []int{1, 3}
-	defer func() { Figure5Clients, Figure5PathLens = oldC, oldN }()
-
-	cells := RunFigure5(2)
-	if len(cells) != 4 { // 2 modes × 1 client × 2 path lengths
-		t.Fatalf("cells = %d, want 4", len(cells))
-	}
-	for _, c := range cells {
-		if c.Result.Errors != 0 || c.Result.ReqPerSec <= 0 {
-			t.Errorf("cell %+v", c)
-		}
 	}
 }
