@@ -207,7 +207,8 @@ func measure(c Cell) Result {
 	}
 	res.B = arms[len(arms)-1].res
 	if c.A != nil {
-		res.A = &arms[0].res
+		a := arms[0].res // a copy: the arm holds the side's world
+		res.A = &a
 		ratios := make([]float64, rounds)
 		for i := range ratios {
 			ratios[i] = res.B.RoundNs[i] / res.A.RoundNs[i]

@@ -31,8 +31,9 @@ type WebResult struct {
 
 // RunWeb drives requests GET requests against apache with the given
 // concurrency, one simulated worker process per client (Apache's prefork
-// model). urlPath is requested repeatedly. Each client issues at least
-// minPerClient requests so per-connection setup does not dominate.
+// model), each exiting when its share is served. urlPath is requested
+// repeatedly. Each client issues at least minPerClient requests so
+// per-connection setup does not dominate.
 func RunWeb(w *programs.World, apache *programs.Apache, clients, requests int, urlPath string) WebResult {
 	if clients < 1 {
 		clients = 1
@@ -53,6 +54,9 @@ func RunWeb(w *programs.World, apache *programs.Apache, clients, requests int, u
 		go func() {
 			defer wg.Done()
 			worker := apache.Spawn()
+			// Exiting recycles the worker's address space, so repeated runs
+			// on one world do not accumulate dead workers.
+			defer worker.Exit(0)
 			errs := 0
 			var lat time.Duration
 			for i := 0; i < perClient; i++ {
