@@ -1,8 +1,7 @@
 // worldscale.go sweeps the fleet stress bed across world sizes and fleet
-// sizes: for each (world, fleet) cell a deployment-scale world is built
-// from scratch (fresh engine, fresh counters), and every op body runs a
-// mixed daemon fleet against it for a fixed wall-clock budget with live
-// process churn, concurrent rule mutation and adversary filesystem noise.
+// sizes: every op body runs a mixed daemon fleet against a freshly built
+// deployment-scale world for a fixed wall-clock budget with live process
+// churn, concurrent rule mutation and adversary filesystem noise.
 // One op is one persona operation, so ns/op is inverse fleet throughput;
 // the extras carry the tail latency and the churn/conservation accounting.
 package lmbench
@@ -40,12 +39,19 @@ func worldScaleCells(sizes []string, fleets []int, run time.Duration) []Cell {
 	return out
 }
 
+// fleetInstance serves each fleet run a freshly built world: a fleet run
+// leaves state behind (the next fleet on the same world sees unexpected
+// errors), and the engine's verdict counters then stay run-local. The
+// build happens in the untimed Round hook.
 func fleetInstance(spec worldgen.Spec, instances int, run time.Duration) Instance {
-	cfg := pf.Optimized()
-	w := worldgen.Build(spec, programs.WorldOpts{PF: &cfg, MACEnforcing: true})
+	build := func() *worldgen.World {
+		cfg := pf.Optimized()
+		return worldgen.Build(spec, programs.WorldOpts{PF: &cfg, MACEnforcing: true})
+	}
+	w := build()
 	var ops int64
 	var last fleet.Report
-	extra := map[string]float64{}
+	extra := map[string]float64{"verdicts_conserved": 1}
 	return Instance{
 		Bodies: []func(){func() {
 			last = fleet.New(w, fleet.Config{
@@ -61,17 +67,20 @@ func fleetInstance(spec worldgen.Spec, instances int, run time.Duration) Instanc
 			extra["expected_denies"] += float64(last.ExpectedDenies)
 			extra["unexpected_allows"] += float64(last.UnexpectedAllows)
 			extra["unexpected_errors"] += float64(last.UnexpectedErrors)
+			if !last.VerdictsConserved {
+				extra["verdicts_conserved"] = 0
+			}
 		}},
 		Count: func() int64 { return ops },
+		Round: func() func() {
+			w = build()
+			return func() {}
+		},
 		Done: func() map[string]float64 {
 			extra["inodes"] = float64(w.Stats.Inodes)
 			extra["rules"] = float64(w.Stats.Rules)
 			extra["build_ms"] = w.Stats.BuildMs
 			extra["p50_ns"], extra["p99_ns"], extra["p999_ns"] = last.P50Ns, last.P99Ns, last.P999Ns
-			extra["verdicts_conserved"] = 0
-			if last.VerdictsConserved {
-				extra["verdicts_conserved"] = 1
-			}
 			return extra
 		},
 	}
