@@ -190,6 +190,11 @@ func TestCompare(t *testing.T) {
 			t.Errorf("compared across machines: %+v", other)
 		}
 	}
+	smoke := suite(fp, 1)
+	smoke.Smoke = true
+	if _, err := Compare(suite(fp, 1), smoke); err == nil {
+		t.Error("compared a smoke suite with a full one")
+	}
 }
 
 // TestRegistryNamesAreUnique keeps -run selection and -compare matching

@@ -109,12 +109,15 @@ type Change struct {
 
 // Compare bootstraps NEW/OLD of every cell both suites measured and
 // returns the cells whose interval excludes 1. It refuses suites measured
-// on different machines: a different CPU model, CPU count or Go version
-// makes the ratio meaningless.
+// on different machines — a different CPU model, CPU count or Go version
+// makes the ratio meaningless — or at different sizes.
 func Compare(old, cur Suite) ([]Change, error) {
 	of, nf := old.Fingerprint, cur.Fingerprint
 	if of.CPU != nf.CPU || of.NumCPU != nf.NumCPU || of.GoVersion != nf.GoVersion {
 		return nil, fmt.Errorf("fingerprints differ: old %s, new %s", of, nf)
+	}
+	if old.Smoke != cur.Smoke {
+		return nil, fmt.Errorf("one suite ran at smoke size and the other did not")
 	}
 	prev := map[string]Result{}
 	for _, r := range old.Cells {
