@@ -69,8 +69,12 @@ verify:
 # shipped rule base, and the pfverify invariant proofs.
 analyze: lint check verify
 
+# pfbench is built, not run with `go run`, so the binary carries the VCS
+# revision (and whether the tree was modified) that stamps the result file.
 bench:
-	$(GO) run ./cmd/pfbench -json BENCH.json
+	$(GO) build -o .bench_build/pfbench ./cmd/pfbench
+	.bench_build/pfbench -json BENCH.json
 
 bench-smoke:
-	$(GO) run ./cmd/pfbench -smoke -json BENCH_smoke.json
+	$(GO) build -o .bench_build/pfbench ./cmd/pfbench
+	.bench_build/pfbench -smoke -json BENCH_smoke.json

@@ -13,9 +13,10 @@
 //
 // The run prints one line per cell as it lands, then Tables 6 and 7 and
 // Figures 4 and 5 in the paper's layouts, and exits 1 if any gate failed.
-// -compare bootstraps NEW/OLD per cell from the stored rounds and lists
-// the cells whose interval excludes 1; it refuses files measured on
-// different machines. -cpuprofile, -memprofile and -trace capture
+// -compare bootstraps NEW/OLD per cell from the stored rounds — the
+// per-round B/A ratios of a paired cell, the raw B rounds of an unpaired
+// one — and lists the cells whose interval excludes 1; it refuses files
+// measured on different machines. -cpuprofile, -memprofile and -trace capture
 // pprof/runtime-trace artifacts of whatever ran.
 package main
 
@@ -123,8 +124,7 @@ func run() int {
 	return 0
 }
 
-// compareFiles prints every cell whose B-side cost moved between two
-// result files, and fails when their fingerprints differ.
+// compareFiles prints every cell that moved between two result files, and fails when their fingerprints differ.
 func compareFiles(oldPath, newPath string) int {
 	old, err := lmbench.ReadSuite(oldPath)
 	if err != nil {
@@ -139,10 +139,15 @@ func compareFiles(oldPath, newPath string) int {
 		return fail("compare:", err)
 	}
 	for _, c := range changes {
-		fmt.Printf("%-40s %11.0f -> %11.0f  NEW/OLD %6.3f [%6.3f,%6.3f]\n",
-			c.Cell, c.Old, c.New, c.Ratio.Median, c.Ratio.Lo, c.Ratio.Hi)
+		if c.Paired {
+			fmt.Printf("%-40s B/A %8.3f -> %8.3f     NEW/OLD %6.3f [%6.3f,%6.3f]\n",
+				c.Cell, c.Old, c.New, c.Ratio.Median, c.Ratio.Lo, c.Ratio.Hi)
+		} else {
+			fmt.Printf("%-40s ns %9.0f -> %9.0f  NEW/OLD %6.3f [%6.3f,%6.3f] unpaired\n",
+				c.Cell, c.Old, c.New, c.Ratio.Median, c.Ratio.Lo, c.Ratio.Hi)
+		}
 	}
-	fmt.Printf("%d cells changed (95%% CI of NEW/OLD excludes 1)\n", len(changes))
+	fmt.Printf("%d cells changed (95%% CI of NEW/OLD excludes 1; paired cells compare B/A, unpaired ones raw ns)\n", len(changes))
 	return 0
 }
 

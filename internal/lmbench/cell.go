@@ -53,8 +53,8 @@ type Instance struct {
 	// its delta rather than the body calls (for bodies that run many ops
 	// per call, such as a fleet run or a web burst).
 	Count func() int64
-	// Round, when set, runs before each timed round, after the GC fence,
-	// and returns what to run after it (load that one side carries).
+	// Round, when set, runs before each timed round, ahead of the GC
+	// fence, and returns what to run after it (load that one side carries).
 	Round func() (end func())
 	// Done, when set, runs after the last round: it tears the side down
 	// and returns the side's own counters.
@@ -209,11 +209,7 @@ func measure(c Cell) Result {
 	if c.A != nil {
 		a := arms[0].res // a copy: the arm holds the side's world
 		res.A = &a
-		ratios := make([]float64, rounds)
-		for i := range ratios {
-			ratios[i] = res.B.RoundNs[i] / res.A.RoundNs[i]
-		}
-		ci := bootstrap(c.Name, ratios, nil)
+		ci := bootstrap(c.Name, roundRatios(res.A.RoundNs, res.B.RoundNs), nil)
 		res.Ratio = &ci
 	}
 	for _, g := range c.Gates {
@@ -263,11 +259,13 @@ func (a *arm) calibrate(target time.Duration) int {
 
 // round runs one timed round and records its op cost.
 func (a *arm) round() {
-	runtime.GC()
+	// The hook first, so that garbage it leaves (a replaced world) is
+	// collected by the fence rather than inside the timed window.
 	if a.Round != nil {
 		end := a.Round()
 		defer end()
 	}
+	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	var c0 int64
@@ -311,6 +309,23 @@ func (a *arm) finish() {
 	if a.Done != nil {
 		a.res.Extra = a.Done()
 	}
+}
+
+// roundRatios pairs two sides' rounds into per-round B/A ratios.
+func roundRatios(a, b []float64) []float64 {
+	out := make([]float64, len(b))
+	for i := range out {
+		out[i] = b[i] / a[i]
+	}
+	return out
+}
+
+func mean(xs []float64) float64 {
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }
 
 // median returns the median of xs without reordering it.

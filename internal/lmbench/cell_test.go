@@ -89,20 +89,25 @@ func bestRoundPct(a, b []float64) float64 {
 	return best
 }
 
-// TestGateStrictness shows the interval gate is at least as strict as the
-// best-round gate it replaced: over synthetic paired samples, every set the
-// old rule rejects the new one rejects too, and some sets the old rule
-// passed — like a run whose best round is -19.9% while most rounds sit
-// above budget — now fail.
+// pairedResult is the result the runner records for a paired cell with
+// these per-round costs.
+func pairedResult(a, b []float64) *Result {
+	ci := bootstrap("strictness", roundRatios(a, b), nil)
+	return &Result{A: &SideResult{RoundNs: a}, B: SideResult{RoundNs: b}, Ratio: &ci}
+}
+
+// TestGateStrictness shows each ratio gate is at least as strict as the
+// gate it replaced: over synthetic paired samples, every set the old rule
+// rejects the new one rejects too. For the overhead budgets (tracing,
+// disturbance, metrics) the old rule was the best paired round, and some
+// sets it passed — like a run whose best round is -19.9% while most
+// rounds sit above budget — now fail. For the publish speedup it was the
+// ratio of mean costs, which the new gate still applies alongside the
+// interval.
 func TestGateStrictness(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	newRejects := func(a, b []float64, budgetPct float64) bool {
-		ratios := make([]float64, len(a))
-		for i := range a {
-			ratios[i] = b[i] / a[i]
-		}
-		ci := bootstrap("strictness", ratios, nil)
-		return ratioAtMost("g", 1+budgetPct/100).Check(&Result{Ratio: &ci}) != nil
+		return ratioAtMost("g", 1+budgetPct/100).Check(pairedResult(a, b)) != nil
 	}
 	oldRejected, tightened := 0, 0
 	for trial := 0; trial < 3000; trial++ {
@@ -142,6 +147,75 @@ func TestGateStrictness(t *testing.T) {
 	if !newRejects(a, b, 10) {
 		t.Error("the interval gate passes a run whose median round is over budget")
 	}
+
+	// The publish speedup: full rebuild (A) against incremental (B), where
+	// the old gate rejected mean(A)/mean(B) < need.
+	oldRejected, tightened = 0, 0
+	for trial := 0; trial < 3000; trial++ {
+		n := 3 + rng.IntN(19)
+		need := []float64{1.5, 10}[trial%2]
+		speedup := need * (0.6 + rng.Float64()*0.8)
+		a, b := make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i] = 1e6 * (1 + 0.4*(rng.Float64()-0.5))
+			b[i] = a[i] / speedup * (1 + 0.4*(rng.Float64()-0.5))
+			if rng.IntN(8) == 0 { // a GC pause or a slow compile
+				b[i] *= 1 + 20*rng.Float64()
+			}
+		}
+		old := mean(a)/mean(b) < need
+		cur := speedupAtLeast("g", need).Check(pairedResult(a, b)) != nil
+		if old && !cur {
+			t.Fatalf("trial %d: ratio of means %.2f < %.1f but the speedup gate passes: a=%v b=%v",
+				trial, mean(a)/mean(b), need, a, b)
+		}
+		if old {
+			oldRejected++
+		}
+		if cur && !old {
+			tightened++
+		}
+	}
+	if oldRejected == 0 || tightened == 0 {
+		t.Errorf("synthetic publish sets exercised too little: %d rejected by both, %d newly rejected", oldRejected, tightened)
+	}
+
+	// Incremental publish with a heavy tail: 19 of 21 rounds 12x faster,
+	// two slowed by large outliers. The median ratio and its interval clear
+	// 10x; the ratio of means does not, and the gate must fail.
+	a, b = make([]float64, 21), make([]float64, 21)
+	for i := range a {
+		a[i], b[i] = 1e6, float64(82e3+i%3*1e3)
+	}
+	b[7], b[15] = 3e5, 3e5
+	if r := pairedResult(a, b); 1/r.Ratio.Hi < 10 || mean(a)/mean(b) >= 10 {
+		t.Fatalf("tail example mis-built: interval speedup %.1f, ratio of means %.1f", 1/r.Ratio.Hi, mean(a)/mean(b))
+	}
+	if speedupAtLeast("g", 10).Check(pairedResult(a, b)) == nil {
+		t.Error("the speedup gate passes a tail regression the ratio of means rejects")
+	}
+
+	// The verifier budget: the old gate timed one sweep after a warm-up and
+	// rejected it over VerifyBudget or with any invariant unproven; the new
+	// one holds every measured round to the budget, so a set with any sweep
+	// over budget, wherever it falls, is rejected.
+	verify := verifyCells([]int{100})[0].Gates[0]
+	budget := float64(VerifyBudget)
+	for trial := 0; trial < 300; trial++ {
+		rounds := make([]float64, 1+rng.IntN(5))
+		for i := range rounds {
+			rounds[i] = budget * (0.5 + rng.Float64())
+		}
+		holds := float64(rng.IntN(2))
+		r := &Result{B: SideResult{RoundNs: rounds, Extra: map[string]float64{"holds": holds}}}
+		old := holds != 1
+		for _, ns := range rounds {
+			old = old || ns > budget
+		}
+		if cur := verify.Check(r) != nil; old && !cur {
+			t.Fatalf("verify gate passes rounds %v (holds %v) that the old gate rejects", rounds, holds)
+		}
+	}
 }
 
 func TestBootstrapBracketsMedian(t *testing.T) {
@@ -162,6 +236,9 @@ func TestBootstrapBracketsMedian(t *testing.T) {
 	}
 }
 
+// TestCompare checks -compare's cell matching and machine refusal, and
+// that a paired cell is judged on its B/A ratios: drift both sides share
+// cancels, a move of B alone does not.
 func TestCompare(t *testing.T) {
 	fp := Fingerprint{CPU: "cpu", NumCPU: 2, GoVersion: "go1", Commit: "a"}
 	suite := func(fp Fingerprint, scale float64) Suite {
@@ -169,17 +246,23 @@ func TestCompare(t *testing.T) {
 		for _, v := range []float64{100, 103, 98, 101, 99, 102, 97} {
 			rounds = append(rounds, v*scale)
 		}
+		steady := []float64{100, 103, 98, 101, 99, 102, 97}
 		return Suite{Fingerprint: fp, Cells: []Result{
 			{Name: "moved", B: SideResult{RoundNs: rounds, MedianNs: median(rounds)}},
-			{Name: "steady", B: SideResult{RoundNs: []float64{100, 103, 98, 101, 99, 102, 97}, MedianNs: 100}},
+			{Name: "steady", B: SideResult{RoundNs: steady, MedianNs: 100}},
+			// Both sides drift with scale: B/A holds.
+			{Name: "paired-drift", A: &SideResult{RoundNs: rounds}, B: SideResult{RoundNs: rounds, MedianNs: median(rounds)}},
+			// B drifts, A does not: B/A moves.
+			{Name: "paired-moved", A: &SideResult{RoundNs: steady}, B: SideResult{RoundNs: rounds, MedianNs: median(rounds)}},
 		}}
 	}
 	changes, err := Compare(suite(fp, 1), suite(Fingerprint{CPU: "cpu", NumCPU: 2, GoVersion: "go1", Commit: "b"}, 1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(changes) != 1 || changes[0].Cell != "moved" || changes[0].Ratio.Lo <= 1 {
-		t.Errorf("changes = %+v, want only the moved cell", changes)
+	if len(changes) != 2 || changes[0].Cell != "moved" || changes[0].Paired || changes[0].Ratio.Lo <= 1 ||
+		changes[1].Cell != "paired-moved" || !changes[1].Paired || changes[1].New < 1.4 || changes[1].Ratio.Lo <= 1 {
+		t.Errorf("changes = %+v, want the unpaired moved cell and the paired one whose B/A moved", changes)
 	}
 	for _, other := range []Fingerprint{
 		{CPU: "other", NumCPU: 2, GoVersion: "go1"},

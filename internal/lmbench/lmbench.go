@@ -238,7 +238,6 @@ type size struct {
 	fig5N       []int
 	fanout      []int
 	ruleSizes   []int // rulescale, policy publish and verify sweeps
-	tailIters   int   // per-op samples per round for p99 cells
 	worlds      []string
 	fleets      []int
 	fleetTime   time.Duration
@@ -249,17 +248,29 @@ var (
 		rounds: 61, target: 10 * time.Millisecond, macroRounds: 15,
 		macroScale: 50, webClients: webbench.Table7WebClients,
 		fig5C: webbench.Figure5Clients, fig5N: webbench.Figure5PathLens,
-		fanout: ParallelFanout, ruleSizes: rulegen.ScaleSizes, tailIters: 10000,
+		fanout: ParallelFanout, ruleSizes: rulegen.ScaleSizes,
 		worlds: []string{"small", "medium", "large"}, fleets: []int{4, 8}, fleetTime: 2 * time.Second,
 	}
 	smokeSize = size{
 		rounds: 31, target: 5 * time.Millisecond, macroRounds: 9,
 		macroScale: 10, webClients: []int{1, 100},
 		fig5C: []int{1, 10}, fig5N: []int{1, 9},
-		fanout: []int{1, 4}, ruleSizes: []int{100, 1200}, tailIters: 3000,
+		fanout: []int{1, 4}, ruleSizes: []int{100, 1200},
 		worlds: []string{"tiny", "small"}, fleets: []int{2}, fleetTime: 300 * time.Millisecond,
 	}
 )
+
+// atFullSize keeps a cell at its full size under -smoke as well. The
+// ratio-gated cells need it: their budgets sit a few percent above the
+// measured overhead, and the wider interval of a smoke-size cell cannot
+// resolve that.
+func atFullSize(c Cell) Cell {
+	c.Rounds = fullSize.rounds
+	if c.Iters == 0 {
+		c.Target = fullSize.target
+	}
+	return c
+}
 
 // Cells is the registry: every measurement pfbench makes, at full or smoke
 // size, in run order. Constructing it builds nothing; each side's world is
@@ -282,7 +293,7 @@ func Cells(smoke bool) []Cell {
 		tracingCells(sz.fanout),
 		ruleScaleCells(sz.ruleSizes),
 		allocCells(),
-		policyCells(sz.ruleSizes, sz.tailIters),
+		policyCells(sz.ruleSizes),
 		worldScaleCells(sz.worlds, sz.fleets, sz.fleetTime),
 		verifyCells(sz.ruleSizes),
 	} {

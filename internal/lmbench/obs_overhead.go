@@ -96,7 +96,7 @@ type worldSide struct {
 
 // overheadCells pairs world builders off and on over a file body and the
 // abstract round trip at each fan-out, gating the single-goroutine file
-// cell's ratio at budget.
+// cell's ratio at budget (that cell runs at full size under -smoke too).
 func overheadCells(family, file string, body func(*kernel.Proc), fanout []int, budget float64, off, on worldSide) []Cell {
 	wls := []struct {
 		name   string
@@ -117,6 +117,7 @@ func overheadCells(family, file string, body func(*kernel.Proc), fanout []int, b
 			c := Cell{Name: fmt.Sprintf("%s/%s/g=%d", family, wl.name, g), A: &base, B: side(on)}
 			if i == 0 && g == 1 {
 				c.Gates = []Gate{ratioAtMost(fmt.Sprintf("%s overhead <= %.0f%%", family, (budget-1)*100), budget)}
+				c = atFullSize(c)
 			}
 			out = append(out, c)
 		}

@@ -5,7 +5,7 @@ import "testing"
 // TestPolicyChurnSmoke runs every control-plane cell at tiny parameters and
 // checks the structural invariants the gates read.
 func TestPolicyChurnSmoke(t *testing.T) {
-	rs := runSmall(policyCells([]int{100, 400}, 200), 0, 3)
+	rs := runSmall(policyCells([]int{100, 400}), 0, 3)
 	if len(rs) != 4 {
 		t.Fatalf("policy cells = %d, want 2 publish + propagation + disturbance", len(rs))
 	}

@@ -18,8 +18,9 @@ type Fingerprint struct {
 	NumCPU     int    `json:"nproc"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go"`
-	// Commit is the VCS revision stamped into the binary, read from the
-	// repository's HEAD when the build carries none (go run).
+	// Commit is the VCS revision stamped into the binary, suffixed
+	// "-dirty" when the tree had uncommitted changes; "none" when the
+	// build carries no VCS stamp (go run).
 	Commit string `json:"commit"`
 }
 
@@ -56,26 +57,21 @@ func cpuModel() string {
 }
 
 func commit() string {
+	rev, dirty := "none", false
 	if info, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range info.Settings {
-			if s.Key == "vcs.revision" {
-				return s.Value
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
 			}
 		}
 	}
-	head, err := os.ReadFile(".git/HEAD")
-	if err != nil {
-		return "none"
+	if dirty {
+		rev += "-dirty"
 	}
-	ref, ok := strings.CutPrefix(strings.TrimSpace(string(head)), "ref: ")
-	if !ok {
-		return ref // detached HEAD holds the revision itself
-	}
-	rev, err := os.ReadFile(".git/" + ref)
-	if err != nil {
-		return "none"
-	}
-	return strings.TrimSpace(string(rev))
+	return rev
 }
 
 // ReadSuite loads a result file.
@@ -98,19 +94,25 @@ func WriteSuite(path string, s Suite) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// Change is one cell whose B-side cost moved between two suites.
+// Change is one cell that moved between two suites.
 type Change struct {
 	Cell string
-	Old  float64 // median ns/op (or p99) in the old suite
-	New  float64
+	// Paired: the cell has a baseline side in both suites, and Old and New
+	// are its median B/A; otherwise they are the B side's median ns/op (or
+	// p99).
+	Paired   bool
+	Old, New float64
 	// Ratio is NEW/OLD with its bootstrap interval over the stored rounds.
 	Ratio CI
 }
 
 // Compare bootstraps NEW/OLD of every cell both suites measured and
-// returns the cells whose interval excludes 1. It refuses suites measured
-// on different machines — a different CPU model, CPU count or Go version
-// makes the ratio meaningless — or at different sizes.
+// returns the cells whose interval excludes 1. A cell with a baseline
+// side is compared on its per-round B/A ratios, so drift that moves both
+// sides between the two runs cancels; a cell without one can only be
+// compared on its raw B rounds. It refuses suites measured on different
+// machines — a different CPU model, CPU count or Go version makes the
+// ratio meaningless — or at different sizes.
 func Compare(old, cur Suite) ([]Change, error) {
 	of, nf := old.Fingerprint, cur.Fingerprint
 	if of.CPU != nf.CPU || of.NumCPU != nf.NumCPU || of.GoVersion != nf.GoVersion {
@@ -129,9 +131,16 @@ func Compare(old, cur Suite) ([]Change, error) {
 		if !ok || len(o.B.RoundNs) == 0 || len(r.B.RoundNs) == 0 {
 			continue
 		}
-		ci := bootstrap(r.Name, r.B.RoundNs, o.B.RoundNs)
-		if ci.Lo > 1 || ci.Hi < 1 {
-			out = append(out, Change{Cell: r.Name, Old: o.B.MedianNs, New: r.B.MedianNs, Ratio: ci})
+		c := Change{Cell: r.Name, Old: o.B.MedianNs, New: r.B.MedianNs}
+		olds, news := o.B.RoundNs, r.B.RoundNs
+		if o.A != nil && r.A != nil {
+			c.Paired = true
+			olds, news = roundRatios(o.A.RoundNs, olds), roundRatios(r.A.RoundNs, news)
+			c.Old, c.New = median(olds), median(news)
+		}
+		c.Ratio = bootstrap(r.Name, news, olds)
+		if c.Ratio.Lo > 1 || c.Ratio.Hi < 1 {
+			out = append(out, c)
 		}
 	}
 	return out, nil
