@@ -216,6 +216,21 @@ func TestGateStrictness(t *testing.T) {
 			t.Fatalf("verify gate passes rounds %v (holds %v) that the old gate rejects", rounds, holds)
 		}
 	}
+
+	// The count gates keep their figure and threshold: any stale verdict
+	// after a completed publish, and any request not resolved to a verdict.
+	stale := policyPropagationCell().Gates[0]
+	conserved := policyDisturbanceCell().Gates[0]
+	for _, n := range []float64{0, 1, 7} {
+		ok := 1.0
+		if n > 0 {
+			ok = 0
+		}
+		r := &Result{B: SideResult{Extra: map[string]float64{"stale_verdicts": n, "verdicts_conserved": ok}}}
+		if (stale.Check(r) != nil) != (n > 0) || (conserved.Check(r) != nil) != (n > 0) {
+			t.Errorf("count gates disagree with their predecessors at %v stale verdicts (conserved=%v)", n, ok)
+		}
+	}
 }
 
 func TestBootstrapBracketsMedian(t *testing.T) {
