@@ -320,6 +320,7 @@ func roundRatios(a, b []float64) []float64 {
 	return out
 }
 
+// mean returns the arithmetic mean of xs.
 func mean(xs []float64) float64 {
 	sum := 0.0
 	for _, x := range xs {
