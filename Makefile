@@ -12,11 +12,13 @@
 # tracing overhead, rule-base scaling, allocation profile, policy control
 # plane, world scaling, verifier scaling) into BENCH.json, the one
 # committed result file; `make bench-smoke` runs every cell at its smoke
-# size into BENCH_smoke.json. Both fail if any gate fails.
+# size into BENCH_smoke.json. Both fail if any gate fails. `make
+# fuzz-smoke` fuzzes the span JSON decoder (the LOG, denial-log, trace-file
+# and span-stream format) for ten seconds from its committed seed corpus.
 
 GO ?= go
 
-.PHONY: all vet gofmt-check pflint pflint-alloc lint build test test-race ci check verify analyze bench bench-smoke
+.PHONY: all vet gofmt-check pflint pflint-alloc lint build test test-race ci check verify analyze bench bench-smoke fuzz-smoke
 
 all: lint ci check verify
 
@@ -44,6 +46,9 @@ test-race:
 	$(GO) test -race ./...
 
 ci: vet build test-race
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSpanJSON$$' -fuzztime 10s ./internal/obs
 
 # Ruleset gate: the pfcheck static analyzer must pass (no error-severity
 # findings) on every shipped example ruleset, the paper's Table 5 base, and

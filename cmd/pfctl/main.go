@@ -143,10 +143,10 @@ func run(args []string, out io.Writer) error {
 		w = programs.NewWorld(wopts)
 	}
 
-	var store *trace.Store
+	var denials *obs.SpanRing
 	if exporting {
-		store = trace.NewStore()
-		w.Engine.Logger = store.Collector(w.K.Policy.SIDs())
+		denials = obs.NewSpanLog(pf.VerdictDrop.String())
+		w.Engine.Log = denials
 		w.Engine.LogDenials = true
 	}
 
@@ -280,7 +280,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *stats {
-		if err := writeStats(out, reg, store, checks); err != nil {
+		if err := writeStats(out, reg, denials, checks); err != nil {
 			return err
 		}
 	}
@@ -651,7 +651,7 @@ func runVerify(out io.Writer, w *programs.World, gw *worldgen.World, name string
 
 // statsDoc is the -stats JSON document: the full metrics registry, the
 // per-op latency quantile summary derived from the gauntlet histograms,
-// the operator-facing denial summary (audit.TopN over the trace store),
+// the operator-facing denial summary (audit.TopN over the denial log),
 // and the load-time static-analysis tallies.
 type statsDoc struct {
 	Metrics json.RawMessage     `json:"metrics"`
@@ -688,7 +688,7 @@ func latencySummary(reg *obs.Registry) []opLatency {
 	return out
 }
 
-func writeStats(out io.Writer, reg *obs.Registry, store *trace.Store, checks *pfcheck.Summary) error {
+func writeStats(out io.Writer, reg *obs.Registry, denials *obs.SpanRing, checks *pfcheck.Summary) error {
 	metrics, err := reg.MarshalJSON()
 	if err != nil {
 		return err
@@ -696,7 +696,7 @@ func writeStats(out io.Writer, reg *obs.Registry, store *trace.Store, checks *pf
 	doc := statsDoc{
 		Metrics: metrics,
 		Latency: latencySummary(reg),
-		Denials: audit.TopN(audit.Denials(store), statsTopDenials),
+		Denials: audit.TopN(audit.Denials(denials.Snapshot()), statsTopDenials),
 		Checks:  checks,
 	}
 	enc, err := json.MarshalIndent(doc, "", "  ")

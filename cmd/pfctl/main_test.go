@@ -108,8 +108,8 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	if got := med["op=SOCKET_SENDMSG,verdict=ACCEPT"].(float64); got != 8 {
 		t.Errorf("SOCKET_SENDMSG accepts = %v, want 8", got)
 	}
-	rings := metrics["rings"].(map[string]any)
-	drop := rings["pf_flight_drop"].(map[string]any)
+	spans := metrics["spans"].(map[string]any)
+	drop := spans["pf_flight_drop"].(map[string]any)
 	if got := drop["total"].(float64); got < 1 {
 		t.Errorf("flight recorder captured no drops: %v", drop)
 	}

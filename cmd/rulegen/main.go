@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	"pfirewall/internal/obs"
 	"pfirewall/internal/programs"
 	"pfirewall/internal/rulegen"
 	"pfirewall/internal/trace"
@@ -33,7 +34,7 @@ func main() {
 	seed := flag.Uint64("seed", 2013, "synthetic trace seed")
 	flag.Parse()
 
-	load := func() *trace.Store {
+	load := func() []obs.Span {
 		if *traceFile == "" {
 			return rulegen.SyntheticDeployment(*seed)
 		}
@@ -60,14 +61,14 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		if err := s.WriteJSON(f); err != nil {
+		if err := trace.WriteJSON(f, s); err != nil {
 			fmt.Fprintln(os.Stderr, "rulegen:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d records to %s\n", s.Len(), *dump)
+		fmt.Printf("wrote %d records to %s\n", len(s), *dump)
 	case *table8:
 		s := load()
-		fmt.Printf("Table 8: entrypoint classification vs invocation threshold (%d log entries)\n", s.Len())
+		fmt.Printf("Table 8: entrypoint classification vs invocation threshold (%d log entries)\n", len(s))
 		fmt.Print(rulegen.FormatTable8(rulegen.Table8(s, rulegen.PaperThresholds)))
 	case *suggest:
 		s := load()

@@ -11,8 +11,8 @@ import (
 
 	"pfirewall"
 	"pfirewall/internal/audit"
+	"pfirewall/internal/obs"
 	"pfirewall/internal/programs"
-	"pfirewall/internal/trace"
 )
 
 func main() {
@@ -20,8 +20,8 @@ func main() {
 	sys.MustInstallRules(pfirewall.StandardRules())
 
 	// Attach the denial log.
-	store := trace.NewStore()
-	sys.Firewall().Logger = store.Collector(sys.Kernel().Policy.SIDs())
+	denials := obs.NewSpanLog("DROP")
+	sys.Firewall().Log = denials
 	sys.Firewall().LogDenials = true
 
 	// The adversary plants a Trojan libssl.so in the user's home; the
@@ -42,7 +42,7 @@ func main() {
 	fmt.Printf("icecat started: loaded %v (err=%v)\n", loaded, err)
 
 	// Days later, the operator reviews the denial log.
-	groups := audit.Denials(store)
+	groups := audit.Denials(denials.Snapshot())
 	fmt.Println("\ndenial log:")
 	fmt.Print(audit.Report(groups))
 

@@ -10,7 +10,7 @@ import (
 	"sort"
 	"strings"
 
-	"pfirewall/internal/trace"
+	"pfirewall/internal/obs"
 )
 
 // DenialKey groups denials by who was blocked doing what to what.
@@ -36,21 +36,22 @@ type DenialGroup struct {
 // maxPathsPerGroup caps the example paths carried per group.
 const maxPathsPerGroup = 5
 
-// Denials extracts and aggregates DROP records from a trace store.
-func Denials(s *trace.Store) []DenialGroup {
+// Denials extracts and aggregates the DROP records among spans.
+func Denials(spans []obs.Span) []DenialGroup {
 	groups := map[DenialKey]*DenialGroup{}
-	for _, r := range s.Records() {
+	for i := range spans {
+		r := &spans[i]
 		if r.Verdict != "DROP" {
 			continue
 		}
-		k := DenialKey{Program: r.Program, Entrypoint: r.Entrypoint, Op: r.Op, ObjectLbl: r.ObjectLabel}
+		k := DenialKey{Program: r.Program, Entrypoint: r.Entrypoint, Op: r.Op, ObjectLbl: r.Object}
 		g, ok := groups[k]
 		if !ok {
 			g = &DenialGroup{Key: k}
 			groups[k] = g
 		}
 		g.Count++
-		if r.AdvWrite {
+		if r.Flags&obs.SpanAdvWrite != 0 {
 			g.AdvWrite = true
 		}
 		if r.Path != "" && len(g.Paths) < maxPathsPerGroup {

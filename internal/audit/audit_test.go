@@ -6,21 +6,21 @@ import (
 	"testing"
 
 	"pfirewall/internal/kernel"
+	"pfirewall/internal/obs"
 	"pfirewall/internal/pf"
 	"pfirewall/internal/programs"
-	"pfirewall/internal/trace"
 )
 
 func TestDenialsAggregation(t *testing.T) {
-	s := trace.NewStore()
+	var s []obs.Span
 	for i := 0; i < 3; i++ {
-		s.Add(trace.Record{Verdict: "DROP", Program: "/lib/ld-2.15.so", Entrypoint: 0x596b,
-			Op: "FILE_OPEN", ObjectLabel: "tmp_t", Path: "/tmp/evil.so", AdvWrite: true})
+		s = append(s, obs.Span{Verdict: "DROP", Program: "/lib/ld-2.15.so", Entrypoint: 0x596b,
+			Op: "FILE_OPEN", Object: "tmp_t", Path: "/tmp/evil.so", Flags: obs.SpanAdvWrite})
 	}
-	s.Add(trace.Record{Verdict: "DROP", Program: "/usr/bin/java", Entrypoint: 0x5d7e,
-		Op: "FILE_OPEN", ObjectLabel: "user_home_t", Path: "/home/user/.hotspotrc", AdvWrite: true})
-	s.Add(trace.Record{Verdict: "ACCEPT", Program: "/usr/bin/java", Entrypoint: 0x5d7e,
-		Op: "FILE_OPEN", ObjectLabel: "etc_t", Path: "/etc/java.conf"})
+	s = append(s, obs.Span{Verdict: "DROP", Program: "/usr/bin/java", Entrypoint: 0x5d7e,
+		Op: "FILE_OPEN", Object: "user_home_t", Path: "/home/user/.hotspotrc", Flags: obs.SpanAdvWrite})
+	s = append(s, obs.Span{Verdict: "ACCEPT", Program: "/usr/bin/java", Entrypoint: 0x5d7e,
+		Op: "FILE_OPEN", Object: "etc_t", Path: "/etc/java.conf"})
 
 	groups := Denials(s)
 	if len(groups) != 2 {
@@ -70,8 +70,8 @@ func TestDenialLogEndToEnd(t *testing.T) {
 	if _, err := w.InstallRules(programs.StandardRules()); err != nil {
 		t.Fatal(err)
 	}
-	store := trace.NewStore()
-	w.Engine.Logger = store.Collector(w.K.Policy.SIDs())
+	store := obs.NewSpanLog("")
+	w.Engine.Log = store
 	w.Engine.LogDenials = true
 
 	// Adversary plants a Trojan library; Icecat starts with its buggy
@@ -89,7 +89,7 @@ func TestDenialLogEndToEnd(t *testing.T) {
 	}
 
 	// The operator reviews the log afterwards.
-	groups := Denials(store)
+	groups := Denials(store.Snapshot())
 	if len(groups) == 0 {
 		t.Fatal("the blocked library load must appear in the denial log")
 	}
@@ -114,8 +114,8 @@ func TestDenialLoggingOffByDefault(t *testing.T) {
 	cfg := pf.Optimized()
 	w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
 	w.InstallRules([]string{`pftables -o LNK_FILE_READ -d tmp_t -j DROP`})
-	store := trace.NewStore()
-	w.Engine.Logger = store.Collector(w.K.Policy.SIDs())
+	store := obs.NewSpanLog("")
+	w.Engine.Log = store
 
 	adv := w.NewUser()
 	adv.Symlink("/etc/shadow", "/tmp/trap")
@@ -132,20 +132,16 @@ func TestDenialsDeterministicOrder(t *testing.T) {
 	// Two groups with equal counts in the same program but different
 	// entrypoints/ops, with paths arriving out of order: the output must
 	// be identical run to run regardless of map iteration.
-	build := func() *trace.Store {
-		s := trace.NewStore()
-		for _, r := range []trace.Record{
-			{Program: "/usr/bin/a", Entrypoint: 0x20, Op: "FILE_OPEN", ObjectLabel: "tmp_t", Path: "/tmp/z", Verdict: "DROP"},
-			{Program: "/usr/bin/a", Entrypoint: 0x10, Op: "FILE_OPEN", ObjectLabel: "tmp_t", Path: "/tmp/b", Verdict: "DROP"},
-			{Program: "/usr/bin/a", Entrypoint: 0x10, Op: "FILE_OPEN", ObjectLabel: "tmp_t", Path: "/tmp/a", Verdict: "DROP"},
-			{Program: "/usr/bin/a", Entrypoint: 0x20, Op: "FILE_OPEN", ObjectLabel: "tmp_t", Path: "/tmp/y", Verdict: "DROP"},
-			{Program: "/usr/bin/a", Entrypoint: 0x10, Op: "LNK_FILE_READ", ObjectLabel: "tmp_t", Path: "/tmp/l", Verdict: "DROP"},
-			{Program: "/usr/bin/a", Entrypoint: 0x10, Op: "LNK_FILE_READ", ObjectLabel: "tmp_t", Path: "/tmp/k", Verdict: "DROP"},
-			{Program: "/usr/bin/b", Entrypoint: 0x10, Op: "FILE_OPEN", ObjectLabel: "etc_t", Path: "/etc/x", Verdict: "ACCEPT"},
-		} {
-			s.Add(r)
+	build := func() []obs.Span {
+		return []obs.Span{
+			{Program: "/usr/bin/a", Entrypoint: 0x20, Op: "FILE_OPEN", Object: "tmp_t", Path: "/tmp/z", Verdict: "DROP"},
+			{Program: "/usr/bin/a", Entrypoint: 0x10, Op: "FILE_OPEN", Object: "tmp_t", Path: "/tmp/b", Verdict: "DROP"},
+			{Program: "/usr/bin/a", Entrypoint: 0x10, Op: "FILE_OPEN", Object: "tmp_t", Path: "/tmp/a", Verdict: "DROP"},
+			{Program: "/usr/bin/a", Entrypoint: 0x20, Op: "FILE_OPEN", Object: "tmp_t", Path: "/tmp/y", Verdict: "DROP"},
+			{Program: "/usr/bin/a", Entrypoint: 0x10, Op: "LNK_FILE_READ", Object: "tmp_t", Path: "/tmp/l", Verdict: "DROP"},
+			{Program: "/usr/bin/a", Entrypoint: 0x10, Op: "LNK_FILE_READ", Object: "tmp_t", Path: "/tmp/k", Verdict: "DROP"},
+			{Program: "/usr/bin/b", Entrypoint: 0x10, Op: "FILE_OPEN", Object: "etc_t", Path: "/etc/x", Verdict: "ACCEPT"},
 		}
-		return s
 	}
 	first := Report(Denials(build()))
 	for i := 0; i < 20; i++ {

@@ -102,11 +102,16 @@ func (p *Proc) exitSyscall() {
 	ms.resolved.Trail = ms.resolved.Trail[:0]
 	ms.resolved.DcacheHits, ms.resolved.DcacheMisses = 0, 0
 	ms.prev = nil
-	ms.tracer = nil
-	ms.span = obs.Span{}
-	ms.spanT0, ms.medT0, ms.gT0 = 0, 0, 0
-	ms.syscallSeq, ms.spanIdx = 0, 0
-	ms.dcHits, ms.dcMisses = 0, 0
+	if ms.tracer != nil {
+		// Only a traced syscall touched the span and its stamps; beginSpan
+		// rewrites the span wholesale anyway, so this just unpins its
+		// strings, and untraced syscalls skip it.
+		ms.tracer = nil
+		ms.span = obs.Span{}
+		ms.spanT0, ms.medT0, ms.gT0 = 0, 0, 0
+		ms.syscallSeq, ms.spanIdx = 0, 0
+		ms.dcHits, ms.dcMisses = 0, 0
+	}
 	p.medFree = append(p.medFree, ms)
 }
 
@@ -180,27 +185,12 @@ func (p *Proc) pfFilter(op pf.Op, node *vfs.Inode, path string, nr Syscall) erro
 	if pfe == nil || !pfe.MayFilter(op) {
 		return nil
 	}
-	ms := p.curMed
-	if ms == nil || !ms.batchActive {
+	ms := p.batchMed()
+	if ms == nil {
 		return p.pfFilterSlow(pfe, op, &resource{k: p.k, node: node, path: path}, nr)
 	}
 	ms.res = resource{k: p.k, node: node, path: path}
-	ms.req.Reset()
-	ms.req.Proc = p
-	ms.req.Op = op
-	ms.req.Obj = &ms.res
-	ms.req.SyscallNR = int(nr)
-	if ms.tracer != nil {
-		ms.beginSpan(op, path)
-	}
-	v := ms.b.Filter(&ms.req)
-	if ms.tracer != nil {
-		ms.endSpan(v)
-	}
-	if v == pf.VerdictDrop {
-		return ErrPFDenied
-	}
-	return nil
+	return ms.filter(op, &ms.res, nr)
 }
 
 // pfFilterRes consults the Process Firewall with a caller-built resource,
@@ -211,26 +201,11 @@ func (p *Proc) pfFilterRes(op pf.Op, res pf.Resource, nr Syscall) error {
 	if pfe == nil || !pfe.MayFilter(op) {
 		return nil
 	}
-	ms := p.curMed
-	if ms == nil || !ms.batchActive {
+	ms := p.batchMed()
+	if ms == nil {
 		return p.pfFilterSlow(pfe, op, res, nr)
 	}
-	ms.req.Reset()
-	ms.req.Proc = p
-	ms.req.Op = op
-	ms.req.Obj = res
-	ms.req.SyscallNR = int(nr)
-	if ms.tracer != nil {
-		ms.beginSpan(op, res.Path())
-	}
-	v := ms.b.Filter(&ms.req)
-	if ms.tracer != nil {
-		ms.endSpan(v)
-	}
-	if v == pf.VerdictDrop {
-		return ErrPFDenied
-	}
-	return nil
+	return ms.filter(op, res, nr)
 }
 
 // pfFilterConn mediates one message on a connected socket, filling the
@@ -240,27 +215,12 @@ func (p *Proc) pfFilterConn(op pf.Op, c *ipc.Conn, nr Syscall) error {
 	if pfe == nil || !pfe.MayFilter(op) {
 		return nil
 	}
-	ms := p.curMed
-	if ms == nil || !ms.batchActive {
+	ms := p.batchMed()
+	if ms == nil {
 		return p.pfFilterSlow(pfe, op, connResource(c), nr)
 	}
 	ms.ipcRes.fromConn(c)
-	ms.req.Reset()
-	ms.req.Proc = p
-	ms.req.Op = op
-	ms.req.Obj = &ms.ipcRes
-	ms.req.SyscallNR = int(nr)
-	if ms.tracer != nil {
-		ms.beginSpan(op, ms.ipcRes.Path())
-	}
-	v := ms.b.Filter(&ms.req)
-	if ms.tracer != nil {
-		ms.endSpan(v)
-	}
-	if v == pf.VerdictDrop {
-		return ErrPFDenied
-	}
-	return nil
+	return ms.filter(op, &ms.ipcRes, nr)
 }
 
 // pfFilterLis mediates against a rendezvous point (bind/listen/connect),
@@ -271,20 +231,36 @@ func (p *Proc) pfFilterLis(op pf.Op, l *ipc.Listener, nr Syscall) error {
 	if pfe == nil || !pfe.MayFilter(op) {
 		return nil
 	}
-	ms := p.curMed
-	if ms == nil || !ms.batchActive {
+	ms := p.batchMed()
+	if ms == nil {
 		r := &ipcResource{}
 		r.fromLis(l)
 		return p.pfFilterSlow(pfe, op, r, nr)
 	}
 	ms.ipcRes.fromLis(l)
+	return ms.filter(op, &ms.ipcRes, nr)
+}
+
+// batchMed returns the current syscall's scratch when it has an active
+// batch, or nil when the caller must take pfFilterSlow.
+func (p *Proc) batchMed() *medState {
+	if ms := p.curMed; ms != nil && ms.batchActive {
+		return ms
+	}
+	return nil
+}
+
+// filter runs one request for op on obj through the syscall's batch,
+// bracketing it in a provenance span when the syscall is traced, and maps
+// DROP to ErrPFDenied. obj is one of the scratch resource slots.
+func (ms *medState) filter(op pf.Op, obj pf.Resource, nr Syscall) error {
 	ms.req.Reset()
-	ms.req.Proc = p
+	ms.req.Proc = ms.p
 	ms.req.Op = op
-	ms.req.Obj = &ms.ipcRes
+	ms.req.Obj = obj
 	ms.req.SyscallNR = int(nr)
 	if ms.tracer != nil {
-		ms.beginSpan(op, ms.ipcRes.Path())
+		ms.beginSpan(op, obj.Path())
 	}
 	v := ms.b.Filter(&ms.req)
 	if ms.tracer != nil {

@@ -26,23 +26,17 @@ type kernelObs struct {
 	traceMask uint64
 }
 
-// ObsConfig configures kernel-level observability; SampleEvery, RingSize,
-// and RecordAccepts are forwarded to the engine's AttachObs.
+// ObsConfig configures kernel-level observability; SampleEvery is
+// forwarded to the engine's AttachObs.
 type ObsConfig struct {
 	// SampleEvery throttles latency timestamps (default 16; 1 samples
 	// everything). Shared by the kernel mediation histogram and the PF
 	// gauntlet histograms.
 	SampleEvery int
-	// RingSize is the PF flight-recorder capacity (see pf.ObsConfig).
-	RingSize int
-	// RecordAccepts mirrors pf.ObsConfig.RecordAccepts.
-	RecordAccepts bool
 	// TraceEvery samples one syscall in TraceEvery for decision-provenance
 	// tracing (every request the sampled syscall mediates carries a span).
 	// 0 disables tracing entirely; 1 traces every syscall.
 	TraceEvery int
-	// TraceRing is the span flight-recorder capacity (default 256).
-	TraceRing int
 }
 
 // AttachObs registers the whole mediation stack's metric series on reg:
@@ -60,7 +54,7 @@ func (k *Kernel) AttachObs(reg *obs.Registry, cfg ObsConfig) {
 			"Sampled latency of one object-access mediation (DAC, MAC, PF), in nanoseconds."),
 	}
 	if cfg.TraceEvery > 0 {
-		ob.tracer = reg.Tracer("pf_spans", obs.TraceConfig{RingSize: cfg.TraceRing})
+		ob.tracer = reg.Tracer("pf_spans", obs.TraceConfig{})
 		ob.traceMask = obs.SampleMask(cfg.TraceEvery)
 		reg.CounterFunc("trace_spans_total",
 			"Decision-provenance spans published.", ob.tracer.Total)
@@ -107,11 +101,7 @@ func (k *Kernel) AttachObs(reg *obs.Registry, cfg ObsConfig) {
 
 	k.obs.Store(ob)
 	if k.PF != nil {
-		k.PF.AttachObs(reg, pf.ObsConfig{
-			SampleEvery:   cfg.SampleEvery,
-			RingSize:      cfg.RingSize,
-			RecordAccepts: cfg.RecordAccepts,
-		})
+		k.PF.AttachObs(reg, pf.ObsConfig{SampleEvery: cfg.SampleEvery})
 	}
 }
 

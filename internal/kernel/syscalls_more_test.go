@@ -110,14 +110,36 @@ func TestChmodThroughSymlinkFollows(t *testing.T) {
 	}
 }
 
+// adapterRec is what adapterProbe captures of one filtered request.
+type adapterRec struct {
+	Prefix     string
+	Path       string
+	ResourceID uint64
+}
+
+// adapterProbe is a continue-only target that records the request's
+// resource as the kernel adapter presents it to the firewall.
+type adapterProbe struct {
+	prefix string
+	seen   *[]adapterRec
+}
+
+func (a *adapterProbe) TargetName() string { return "PROBE" }
+func (a *adapterProbe) Needs() pf.CtxKind  { return 0 }
+func (a *adapterProbe) Args() string       { return "" }
+func (a *adapterProbe) Fire(ctx *pf.EvalCtx) pf.Action {
+	obj := ctx.Req.Obj
+	*a.seen = append(*a.seen, adapterRec{Prefix: a.prefix, Path: obj.Path(), ResourceID: obj.ID()})
+	return pf.Action{}
+}
+
 func TestResourceAdapters(t *testing.T) {
 	// Exercise the pf.Resource adapters via a recording engine.
 	k := newWorld(t)
 	engine := pf.New(k.Policy, pf.Optimized())
-	var seen []pf.LogRecord
-	engine.Logger = func(r pf.LogRecord) { seen = append(seen, r) }
-	engine.Append("input", &pf.Rule{Ops: pf.NewOpSet(pf.OpLnkFileRead), Target: &pf.LogTarget{Prefix: "link"}})
-	engine.Append("input", &pf.Rule{Ops: pf.NewOpSet(pf.OpSignalDeliver), Target: &pf.LogTarget{Prefix: "sig"}})
+	var seen []adapterRec
+	engine.Append("input", &pf.Rule{Ops: pf.NewOpSet(pf.OpLnkFileRead), Target: &adapterProbe{"link", &seen}})
+	engine.Append("input", &pf.Rule{Ops: pf.NewOpSet(pf.OpSignalDeliver), Target: &adapterProbe{"sig", &seen}})
 	k.AttachPF(engine)
 
 	user := newUser(k)
@@ -126,7 +148,7 @@ func TestResourceAdapters(t *testing.T) {
 	if _, err := root.Open("/tmp/ln", O_RDONLY, 0); err != nil {
 		t.Fatal(err)
 	}
-	var linkRec *pf.LogRecord
+	var linkRec *adapterRec
 	for i := range seen {
 		if seen[i].Prefix == "link" {
 			linkRec = &seen[i]
@@ -146,7 +168,7 @@ func TestResourceAdapters(t *testing.T) {
 	if err := root.Kill(victim.PID(), SIGALRM); err != nil {
 		t.Fatal(err)
 	}
-	var sigRec *pf.LogRecord
+	var sigRec *adapterRec
 	for i := range seen {
 		if seen[i].Prefix == "sig" {
 			sigRec = &seen[i]

@@ -1,6 +1,7 @@
 package lmbench
 
 import (
+	"errors"
 	"testing"
 
 	"pfirewall/internal/kernel"
@@ -92,5 +93,39 @@ func TestSampledTracingAllocBounded(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, body); avg != 0 {
 		t.Errorf("open+close with TraceEvery=1: %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestZeroAllocDropPath extends the tripwire to the DROP verdict: a
+// denied open must not allocate either, with metrics attached (the PF
+// flight recorder fills a span for every DROP) and with every syscall
+// traced on top. Allocations are measured after the flight ring has
+// wrapped, so a recorder that allocated per eviction would show here.
+func TestZeroAllocDropPath(t *testing.T) {
+	setups := []struct {
+		name       string
+		traceEvery int
+	}{
+		{"metrics", 0},
+		{"metrics+trace", 1},
+	}
+	for _, s := range setups {
+		w := traceWorld(true, DefaultObsSampleEvery, s.traceEvery)
+		if _, err := w.InstallRules([]string{`pftables -I input -s sshd_t -d shadow_t -o FILE_OPEN -j DROP`}); err != nil {
+			t.Fatal(err)
+		}
+		p := benchProc(w)
+		body := func() {
+			if _, err := p.Open("/etc/shadow", kernel.O_RDONLY, 0); !errors.Is(err, kernel.ErrPFDenied) {
+				panic(err)
+			}
+		}
+		// Past the 256-slot flight ring, so every measured drop evicts.
+		for i := 0; i < 512; i++ {
+			body()
+		}
+		if avg := testing.AllocsPerRun(200, body); avg != 0 {
+			t.Errorf("%s: denied open: %.2f allocs/op, want 0", s.name, avg)
+		}
 	}
 }

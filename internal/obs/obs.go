@@ -132,11 +132,18 @@ func seriesKey(name string, labels []Label) string {
 	return b.String()
 }
 
+// spanSource is one registered span ring; tracer is set when the ring
+// backs a Tracer, whose subscriber figures the export adds.
+type spanSource struct {
+	name   string
+	ring   *SpanRing
+	tracer *Tracer
+}
+
 // snapshot is the immutable export view.
 type snapshot struct {
-	metrics []*metric // sorted by (name, labelString)
-	rings   []*Ring   // sorted by name
-	tracers []*Tracer // sorted by name
+	metrics []*metric    // sorted by (name, labelString)
+	spans   []spanSource // sorted by name
 }
 
 // Registry owns the process-wide metric set. Registration is serialized;
@@ -145,8 +152,7 @@ type Registry struct {
 	mu       sync.Mutex
 	byKey    map[string]*metric
 	byFamily map[string]kind // metric family name -> kind, for mixed-kind rejection
-	rings    map[string]*Ring
-	tracers  map[string]*Tracer
+	spans    map[string]spanSource
 	snap     atomic.Pointer[snapshot]
 }
 
@@ -155,8 +161,7 @@ func New() *Registry {
 	r := &Registry{
 		byKey:    make(map[string]*metric),
 		byFamily: make(map[string]kind),
-		rings:    make(map[string]*Ring),
-		tracers:  make(map[string]*Tracer),
+		spans:    make(map[string]spanSource),
 	}
 	r.snap.Store(&snapshot{})
 	return r
@@ -200,17 +205,12 @@ func (r *Registry) publishLocked() {
 		}
 		return ms[i].jsonKey() < ms[j].jsonKey()
 	})
-	rs := make([]*Ring, 0, len(r.rings))
-	for _, ring := range r.rings {
-		rs = append(rs, ring)
+	ss := make([]spanSource, 0, len(r.spans))
+	for _, src := range r.spans {
+		ss = append(ss, src)
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].name < rs[j].name })
-	ts := make([]*Tracer, 0, len(r.tracers))
-	for _, t := range r.tracers {
-		ts = append(ts, t)
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
-	r.snap.Store(&snapshot{metrics: ms, rings: rs, tracers: ts})
+	sort.Slice(ss, func(i, j int) bool { return ss[i].name < ss[j].name })
+	r.snap.Store(&snapshot{metrics: ms, spans: ss})
 }
 
 // Counter registers (or finds) a sharded counter series.
@@ -251,29 +251,34 @@ func (r *Registry) HistogramSnapshots(family string) map[string]HistSnapshot {
 	return out
 }
 
-// Ring registers (or finds) a named flight-recorder ring.
-func (r *Registry) Ring(name string, cap int) *Ring {
+// SpanRing registers (or finds) a named, preallocated span ring (see
+// NewSpanRing), exported under the JSON document's spans.
+func (r *Registry) SpanRing(name string, capacity int, verdict string) *SpanRing {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if old, ok := r.rings[name]; ok {
-		return old
+	if old, ok := r.spans[name]; ok {
+		return old.ring
 	}
-	ring := NewRing(name, cap)
-	r.rings[name] = ring
+	ring := NewSpanRing(capacity, verdict)
+	r.spans[name] = spanSource{name: name, ring: ring}
 	r.publishLocked()
 	return ring
 }
 
 // Tracer registers (or finds) a named provenance-span tracer, attaching
-// its flight ring to the registry's JSON export.
+// its ring to the registry's JSON export. A name already taken by a plain
+// SpanRing is a programmer error and panics.
 func (r *Registry) Tracer(name string, cfg TraceConfig) *Tracer {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if old, ok := r.tracers[name]; ok {
-		return old
+	if old, ok := r.spans[name]; ok {
+		if old.tracer == nil {
+			panic(fmt.Sprintf("obs: span ring %s re-registered as a tracer", name))
+		}
+		return old.tracer
 	}
 	t := NewTracer(name, cfg)
-	r.tracers[name] = t
+	r.spans[name] = spanSource{name: name, ring: t.ring, tracer: t}
 	r.publishLocked()
 	return t
 }

@@ -121,9 +121,9 @@ func TestSampler(t *testing.T) {
 }
 
 func TestRingWrapAndOrder(t *testing.T) {
-	r := NewRing("test", 4)
+	r := NewSpanRing(4, "")
 	for i := 1; i <= 10; i++ {
-		r.Record(Event{PID: i, Op: "FILE_OPEN", Verdict: "DROP"})
+		r.Record(&Span{PID: i, Op: "FILE_OPEN", Verdict: "DROP"})
 	}
 	if r.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", r.Total())
@@ -140,6 +140,69 @@ func TestRingWrapAndOrder(t *testing.T) {
 	}
 }
 
+// TestSpanLogGrowsAndEvicts pins the log-shaped ring: storage grows by
+// append up to the capacity, then the oldest records are evicted.
+func TestSpanLogGrowsAndEvicts(t *testing.T) {
+	s := &SpanRing{cap: 3}
+	for i := 1; i <= 5; i++ {
+		s.Record(&Span{PID: i})
+	}
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", s.Len())
+	}
+	if s.Evicted() != 2 {
+		t.Fatalf("Evicted = %d, want 2", s.Evicted())
+	}
+	recs := s.Snapshot()
+	for i, r := range recs {
+		if r.PID != i+3 {
+			t.Fatalf("Snapshot() = %v, want pids 3,4,5", recs)
+		}
+	}
+	// Under capacity: order preserved, nothing evicted.
+	s2 := &SpanRing{cap: 10}
+	s2.Record(&Span{PID: 1})
+	s2.Record(&Span{PID: 2})
+	if got := s2.Snapshot(); len(got) != 2 || got[0].PID != 1 || got[1].PID != 2 {
+		t.Fatalf("under-capacity Snapshot() = %v", got)
+	}
+	if s2.Evicted() != 0 {
+		t.Fatal("nothing should be evicted under capacity")
+	}
+	// NewSpanLog takes the documented capacity, without preallocating it.
+	def := NewSpanLog("")
+	def.Record(&Span{PID: 1})
+	if def.cap != DefaultLogCapacity || def.Len() != 1 || cap(def.slots) >= DefaultLogCapacity {
+		t.Fatalf("default log: cap=%d len=%d slots=%d", def.cap, def.Len(), cap(def.slots))
+	}
+}
+
+// TestSpanRingVerdictFilterAndSeq pins the filter (rejected spans are not
+// recorded and take no sequence number) and that Record stamps the
+// caller's span with the ordinal it was stored under.
+func TestSpanRingVerdictFilterAndSeq(t *testing.T) {
+	r := NewSpanRing(8, "DROP")
+	if r.Wants("ACCEPT") || !r.Wants("DROP") || !NewSpanRing(1, "").Wants("ACCEPT") {
+		t.Fatal("Wants disagrees with the filter")
+	}
+	for i, v := range []string{"DROP", "ACCEPT", "DROP"} {
+		sp := Span{PID: i, Verdict: v}
+		r.Record(&sp)
+		if want := map[int]uint64{0: 1, 1: 0, 2: 2}[i]; sp.Seq != want {
+			t.Fatalf("span %d (%s): Seq = %d, want %d", i, v, sp.Seq, want)
+		}
+	}
+	got := r.Snapshot()
+	if r.Total() != 2 || len(got) != 2 || got[0].PID != 0 || got[1].PID != 2 {
+		t.Fatalf("filtered ring = %+v (total %d)", got, r.Total())
+	}
+	// Preallocated: recording allocates nothing, before or after wrap.
+	sp := Span{Verdict: "DROP"}
+	if avg := testing.AllocsPerRun(100, func() { r.Record(&sp) }); avg != 0 {
+		t.Fatalf("Record: %.2f allocs/op, want 0", avg)
+	}
+}
+
 func TestRegistryIdempotentAndKindMismatch(t *testing.T) {
 	r := New()
 	a := r.Counter("x_total", "", L("op", "A"))
@@ -150,7 +213,7 @@ func TestRegistryIdempotentAndKindMismatch(t *testing.T) {
 	if c := r.Counter("x_total", "", L("op", "B")); c == a {
 		t.Fatal("different labels must return a distinct counter")
 	}
-	if r.Ring("ring", 8) != r.Ring("ring", 99) {
+	if r.SpanRing("ring", 8, "") != r.SpanRing("ring", 99, "") {
 		t.Fatal("same ring name must return the same ring")
 	}
 	defer func() {
@@ -208,8 +271,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	r.Counter("pf_mediations_total", "", L("op", "SOCKET_SENDMSG"), L("verdict", "ACCEPT")).Add(0, 4)
 	r.GaugeFunc("mac_adv_epoch", "", func() uint64 { return 2 })
 	r.Histogram("kernel_mediation_latency_ns", "").Observe(0, 77)
-	ring := r.Ring("pf_flight_drop", 4)
-	ring.Record(Event{PID: 9, Op: "FILE_OPEN", Verdict: "DROP", Path: "/tmp/x"})
+	ring := r.SpanRing("pf_flight_drop", 4, "DROP")
+	ring.Record(&Span{PID: 9, Op: "FILE_OPEN", Verdict: "DROP", Path: "/tmp/x"})
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -232,8 +295,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if h.Count != 1 || h.SumNs != 77 {
 		t.Errorf("histogram = %+v", h)
 	}
-	fr := doc.Rings["pf_flight_drop"]
-	if fr.Total != 1 || len(fr.Events) != 1 || fr.Events[0].Path != "/tmp/x" {
+	fr := doc.Spans["pf_flight_drop"]
+	if fr.Total != 1 || len(fr.Recent) != 1 || fr.Recent[0].Path != "/tmp/x" {
 		t.Errorf("ring = %+v", fr)
 	}
 	// And the marshal must be deterministic enough to re-marshal equal.

@@ -2,19 +2,21 @@ package obs
 
 import (
 	"encoding/json"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// This file is the decision-provenance layer: a fixed-size Span record that
-// explains one mediated request — which chains it traversed, which rule
-// decided it (with its ruleset source position), which caches hit, and how
-// the latency split across kernel → DAC/MAC → gauntlet — plus the Tracer
-// that samples spans into a flight ring and fans them out to live
-// subscribers. Spans are embedded by value in the kernel's per-syscall
-// mediation scratch, so the armed-but-disabled path allocates nothing; the
-// schema is deliberately the one a future learning mode will mine.
+// This file defines the one mediation record: a fixed-size Span that
+// explains one mediated request — who asked for what (subject, object
+// label, innermost entrypoint), which chains it traversed, which rule
+// decided it (with its ruleset source position) under which published
+// ruleset version, which caches hit, and how the latency split across
+// kernel → DAC/MAC → gauntlet. The same record serves every consumer: the
+// Tracer samples spans into a SpanRing and fans them out to live
+// subscribers, the PF flight recorder keeps the recent DROPs in one, and
+// the LOG target fills one per logged access (the JSON record of the
+// paper's Section 5.2) for denial review and rule generation. Spans are
+// filled by value, so the armed-but-disabled path allocates nothing.
 
 // SpanFlags is a bitfield of provenance facts about one mediated request.
 type SpanFlags uint32
@@ -45,6 +47,11 @@ const (
 	// SpanEmptyRuleset: the empty-ruleset fast path accepted the request
 	// without entering any chain.
 	SpanEmptyRuleset
+	// SpanAdvWrite / SpanAdvRead: the resource was adversary-writable /
+	// -readable. Set on LOG records, whose consumers key on them: rule
+	// generation's low-integrity criterion (Section 6.3.1) is AdvWrite.
+	SpanAdvWrite
+	SpanAdvRead
 )
 
 // spanFlagNames is ordered by bit position, for the derived flag_names
@@ -59,6 +66,8 @@ var spanFlagNames = []string{
 	"adv_cache_miss",
 	"rule_decided",
 	"empty_ruleset",
+	"adv_write",
+	"adv_read",
 }
 
 // Names expands the bitfield into its symbolic names, bit order.
@@ -77,11 +86,16 @@ func (f SpanFlags) Names() []string {
 // record fixed-size); the first SpanChainMax chains entered are kept.
 const SpanChainMax = 4
 
-// Span is one request's provenance record. It is fixed-size — every string
-// field is an interned or pre-existing string (operation names, verdict
-// names, ruleset file names, resolved paths), so filling a span performs no
-// allocation; the record itself lives in per-syscall scratch and is copied
-// by value into the tracer ring and subscriber channels.
+// Span is the mediation record. It is fixed-size — every string field is
+// an interned or pre-existing string (operation names, verdict and label
+// names, ruleset file names, resolved paths), so filling a span performs
+// no allocation; producers fill one by value (the kernel's per-syscall
+// scratch, a stack local in the engine) and SpanRing copies it in.
+//
+// Which fields are set depends on the producer: the tracer's spans carry
+// the syscall, batch and latency fields; LOG records carry the object
+// label, entrypoint, adversary bits and prefix; every engine-filled span
+// carries the identity, verdict and ruleset version.
 //
 // Latency split, all monotonic nanoseconds:
 //
@@ -91,36 +105,44 @@ const SpanChainMax = 4
 //	GauntletNs pf.Batch.Filter entry → verdict
 //	TotalNs    mediation start → verdict (CheckNs + GauntletNs)
 type Span struct {
-	Seq          uint64 // tracer-assigned publish ordinal (1-based)
-	TimeUnixNano int64  // wall-clock publish stamp
+	Seq          uint64 // ring-assigned record ordinal (1-based)
+	TimeUnixNano int64  // wall-clock record stamp
 	PID          int
 	SyscallSeq   uint64 // kernel-wide syscall ordinal; groups batch members
 	BatchIndex   uint32 // request ordinal within its syscall (0 = first)
 	Flags        SpanFlags
+	Version      uint64 // publish version of the ruleset snapshot that decided the request
 
 	Syscall string // syscall name ("open", "connect", ...)
 	Op      string // firewall operation ("FILE_OPEN", ...)
 	Verdict string // "ACCEPT" or "DROP"
 	Subject string // subject label of the mediating process
+	Object  string // object label of the resource
 	Path    string // object path, when the resource has one
+
+	// Program and Entrypoint name the innermost resolved entrypoint: the
+	// binary (or library, or script) and the offset within it.
+	Program    string
+	Entrypoint uint64
+	Prefix     string // LOG-target prefix ("denied" on LogDenials records)
 
 	// Deciding rule, valid when SpanRuleDecided is set. The source position
 	// is kept as separate fields so recording never renders a string; use
 	// RuleSrc (or the rule_src JSON field) for display.
 	RuleFile   string
-	RuleLine   int
-	RuleCol    int
+	RuleLine   int32
+	RuleCol    int32
 	RuleTarget string // target name of the deciding rule ("DROP", "ACCEPT", "LOG", ...)
 
 	RulesEvaluated uint32 // rules the gauntlet evaluated for this request
+	chainLen       uint8
 
 	KernelNs   uint64
 	CheckNs    uint64
 	GauntletNs uint64
 	TotalNs    uint64
 
-	chain    [SpanChainMax]string
-	chainLen uint8
+	chain [SpanChainMax]string
 }
 
 // PushChain records entry into a chain. Beyond SpanChainMax entries the
@@ -147,15 +169,15 @@ func (s *Span) RuleSrc() string {
 	b := make([]byte, 0, len(s.RuleFile)+8)
 	b = append(b, s.RuleFile...)
 	b = append(b, ':')
-	b = appendInt(b, s.RuleLine)
+	b = appendInt(b, int64(s.RuleLine))
 	if s.RuleCol > 0 {
 		b = append(b, ':')
-		b = appendInt(b, s.RuleCol)
+		b = appendInt(b, int64(s.RuleCol))
 	}
 	return string(b)
 }
 
-func appendInt(b []byte, n int) []byte {
+func appendInt(b []byte, n int64) []byte {
 	if n < 0 {
 		b = append(b, '-')
 		n = -n
@@ -166,8 +188,9 @@ func appendInt(b []byte, n int) []byte {
 	return append(b, byte('0'+n%10))
 }
 
-// spanJSON is the wire schema. rule_src and flag_names are derived on
-// marshal and ignored on unmarshal (flags is authoritative), so a
+// spanJSON is the wire schema: the LOG record, the denial log, the trace
+// file and the span stream all use it. rule_src and flag_names are derived
+// on marshal and ignored on unmarshal (flags is authoritative), so a
 // marshal → unmarshal → marshal round trip is byte-stable.
 type spanJSON struct {
 	Seq            uint64   `json:"seq"`
@@ -177,16 +200,21 @@ type spanJSON struct {
 	BatchIndex     uint32   `json:"batch_index"`
 	Flags          uint32   `json:"flags"`
 	FlagNames      []string `json:"flag_names,omitempty"`
+	Version        uint64   `json:"version,omitempty"`
 	Syscall        string   `json:"syscall,omitempty"`
 	Op             string   `json:"op"`
 	Verdict        string   `json:"verdict"`
 	Subject        string   `json:"subject,omitempty"`
+	Object         string   `json:"object,omitempty"`
 	Path           string   `json:"path,omitempty"`
+	Program        string   `json:"program,omitempty"`
+	Entrypoint     uint64   `json:"entrypoint,omitempty"`
+	Prefix         string   `json:"prefix,omitempty"`
 	Chains         []string `json:"chains,omitempty"`
 	RuleSrc        string   `json:"rule_src,omitempty"`
 	RuleFile       string   `json:"rule_file,omitempty"`
-	RuleLine       int      `json:"rule_line,omitempty"`
-	RuleCol        int      `json:"rule_col,omitempty"`
+	RuleLine       int32    `json:"rule_line,omitempty"`
+	RuleCol        int32    `json:"rule_col,omitempty"`
 	RuleTarget     string   `json:"rule_target,omitempty"`
 	RulesEvaluated uint32   `json:"rules_evaluated,omitempty"`
 	KernelNs       uint64   `json:"kernel_ns"`
@@ -205,9 +233,11 @@ func (s *Span) MarshalJSON() ([]byte, error) {
 	return json.Marshal(spanJSON{
 		Seq: s.Seq, TimeUnixNano: s.TimeUnixNano, PID: s.PID,
 		SyscallSeq: s.SyscallSeq, BatchIndex: s.BatchIndex,
-		Flags: uint32(s.Flags), FlagNames: s.Flags.Names(),
+		Flags: uint32(s.Flags), FlagNames: s.Flags.Names(), Version: s.Version,
 		Syscall: s.Syscall, Op: s.Op, Verdict: s.Verdict,
-		Subject: s.Subject, Path: s.Path, Chains: chains,
+		Subject: s.Subject, Object: s.Object, Path: s.Path,
+		Program: s.Program, Entrypoint: s.Entrypoint, Prefix: s.Prefix,
+		Chains:  chains,
 		RuleSrc: s.RuleSrc(), RuleFile: s.RuleFile, RuleLine: s.RuleLine,
 		RuleCol: s.RuleCol, RuleTarget: s.RuleTarget,
 		RulesEvaluated: s.RulesEvaluated,
@@ -225,9 +255,10 @@ func (s *Span) UnmarshalJSON(data []byte) error {
 	*s = Span{
 		Seq: j.Seq, TimeUnixNano: j.TimeUnixNano, PID: j.PID,
 		SyscallSeq: j.SyscallSeq, BatchIndex: j.BatchIndex,
-		Flags:   SpanFlags(j.Flags),
+		Flags: SpanFlags(j.Flags), Version: j.Version,
 		Syscall: j.Syscall, Op: j.Op, Verdict: j.Verdict,
-		Subject: j.Subject, Path: j.Path,
+		Subject: j.Subject, Object: j.Object, Path: j.Path,
+		Program: j.Program, Entrypoint: j.Entrypoint, Prefix: j.Prefix,
 		RuleFile: j.RuleFile, RuleLine: j.RuleLine, RuleCol: j.RuleCol,
 		RuleTarget:     j.RuleTarget,
 		RulesEvaluated: j.RulesEvaluated,
@@ -270,18 +301,15 @@ type subSet struct {
 	subs []*SpanSub
 }
 
-// Tracer samples provenance spans into a bounded ring and fans them out to
+// Tracer samples provenance spans into a SpanRing and fans them out to
 // subscribers. Publish is called from the kernel's syscall layer (never
-// from inside the gauntlet closure): a short mutex guards the ring slots,
-// while the subscriber list and mute set are read via atomic snapshots.
+// from inside the gauntlet closure): the ring's short mutex guards its
+// slots, while the subscriber list and mute set are read via atomic
+// snapshots.
 type Tracer struct {
-	name string
-
-	seq   atomic.Uint64
+	name  string
+	ring  *SpanRing
 	drops atomic.Uint64 // total spans dropped across all subscribers
-
-	mu    sync.Mutex
-	slots []Span
 
 	subMu  sync.Mutex // guards copy-on-write of subs and muted
 	nextID uint64
@@ -300,7 +328,7 @@ func NewTracer(name string, cfg TraceConfig) *Tracer {
 	if cfg.SubBuf <= 0 {
 		cfg.SubBuf = 64
 	}
-	t := &Tracer{name: name, slots: make([]Span, cfg.RingSize), subBuf: cfg.SubBuf}
+	t := &Tracer{name: name, ring: NewSpanRing(cfg.RingSize, ""), subBuf: cfg.SubBuf}
 	t.subs.Store(&subSet{})
 	empty := map[int]struct{}{}
 	t.muted.Store(&empty)
@@ -310,20 +338,18 @@ func NewTracer(name string, cfg TraceConfig) *Tracer {
 // Name returns the tracer's registered name.
 func (t *Tracer) Name() string { return t.name }
 
-// Publish assigns the span its sequence number, records it in the ring,
-// and fans it out to subscribers (dropping, never blocking). Spans from
-// muted pids are discarded — that is what breaks the feedback loop when
-// the trace stream itself is carried over mediated in-simulation sockets.
+// Publish records the span in the ring (which assigns its sequence
+// number) and fans it out to subscribers (dropping, never blocking).
+// Spans from muted pids are discarded — that is what breaks the feedback
+// loop when the trace stream itself is carried over mediated
+// in-simulation sockets.
 func (t *Tracer) Publish(sp *Span) {
 	if m := t.muted.Load(); len(*m) > 0 {
 		if _, ok := (*m)[sp.PID]; ok {
 			return
 		}
 	}
-	sp.Seq = t.seq.Add(1)
-	t.mu.Lock()
-	t.slots[(sp.Seq-1)%uint64(len(t.slots))] = *sp
-	t.mu.Unlock()
+	t.ring.Record(sp)
 	if ss := t.subs.Load(); len(ss.subs) > 0 {
 		for _, sub := range ss.subs {
 			select {
@@ -337,7 +363,7 @@ func (t *Tracer) Publish(sp *Span) {
 }
 
 // Total reports spans published (including those since evicted).
-func (t *Tracer) Total() uint64 { return t.seq.Load() }
+func (t *Tracer) Total() uint64 { return t.ring.Total() }
 
 // Dropped reports spans dropped across all subscribers.
 func (t *Tracer) Dropped() uint64 { return t.drops.Load() }
@@ -420,17 +446,5 @@ func (t *Tracer) Unmute(pid int) {
 	t.muted.Store(&next)
 }
 
-// Snapshot returns the ring's current spans ordered by sequence number,
-// oldest first.
-func (t *Tracer) Snapshot() []Span {
-	t.mu.Lock()
-	out := make([]Span, 0, len(t.slots))
-	for i := range t.slots {
-		if t.slots[i].Seq != 0 {
-			out = append(out, t.slots[i])
-		}
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
+// Snapshot returns the ring's current spans, oldest first.
+func (t *Tracer) Snapshot() []Span { return t.ring.Snapshot() }

@@ -20,7 +20,7 @@ func TestRegistryStress(t *testing.T) {
 	ctr := r.Counter("stress_total", "stress counter")
 	labeled := r.Counter("stress_ops_total", "labeled", L("op", "FILE_OPEN"), L("verdict", "ACCEPT"))
 	hist := r.Histogram("stress_latency_ns", "stress histogram")
-	ring := r.Ring("stress_ring", 64)
+	ring := r.SpanRing("stress_ring", 64, "")
 	smp := NewSampler(4)
 
 	var wg sync.WaitGroup
@@ -77,7 +77,7 @@ func TestRegistryStress(t *testing.T) {
 				labeled.Add(key, 2)
 				hist.Observe(key, uint64(i%5000))
 				if smp.Tick(key) {
-					ring.Record(Event{PID: key, Op: "FILE_OPEN", Verdict: "DROP"})
+					ring.Record(&Span{PID: key, Op: "FILE_OPEN", Verdict: "DROP"})
 				}
 			}
 		}(g)

@@ -86,9 +86,10 @@ func (b *Batch) Filter(req *Request) Verdict {
 		e.Stats.Accepts.Add(pid, 1)
 		if sp != nil {
 			sp.Flags |= obs.SpanEmptyRuleset
+			sp.Version = rs.version
 		}
 		if ob != nil {
-			ob.finish(pid, req, VerdictAccept, sampled, t0, "")
+			ob.finish(pid, req, VerdictAccept, sampled, t0, "", rs.version)
 		}
 		return VerdictAccept
 	}
@@ -182,6 +183,7 @@ func (b *Batch) Filter(req *Request) Verdict {
 		e.Stats.CtxCacheHits.Add(pid, ctx.ctxCacheHits)
 	}
 	if sp != nil {
+		sp.Version = rs.version
 		sp.RulesEvaluated = uint32(ctx.rulesEvaluated)
 		if ctx.ctxCacheHits > 0 {
 			sp.Flags |= obs.SpanEptCacheHit
@@ -191,7 +193,7 @@ func (b *Batch) Filter(req *Request) Verdict {
 		}
 	}
 	if ob != nil {
-		ob.finish(pid, req, v, sampled, t0, start)
+		ob.finish(pid, req, v, sampled, t0, start, rs.version)
 	}
 	return v
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pfirewall/internal/mac"
+	"pfirewall/internal/obs"
 )
 
 // --- differential property test ----------------------------------------
@@ -151,14 +152,25 @@ func genRuleSpec(rng *diffRNG, pol *mac.Policy, chains []string, userChains []st
 type diffEngine struct {
 	e     *Engine
 	rules []*Rule
-	logs  []LogRecord
+	log   *obs.SpanRing
 	procs map[int]*fakeProc
+}
+
+// logs returns the LOG emissions minus their wall-clock stamps, the one
+// field two engines logging the same access cannot share.
+func (d *diffEngine) logs() []obs.Span {
+	out := d.log.Snapshot()
+	for i := range out {
+		out[i].TimeUnixNano = 0
+	}
+	return out
 }
 
 func newDiffEngine(t *testing.T, pol *mac.Policy, cfg Config, specs []*ruleSpec, userChains []string) *diffEngine {
 	t.Helper()
 	d := &diffEngine{e: New(pol, cfg), procs: make(map[int]*fakeProc)}
-	d.e.Logger = func(rec LogRecord) { d.logs = append(d.logs, rec) }
+	d.log = obs.NewSpanLog("")
+	d.e.Log = d.log
 	for _, uc := range userChains {
 		if err := d.e.NewChain(uc); err != nil {
 			t.Fatal(err)
@@ -292,8 +304,8 @@ func TestCompiledDispatchDifferential(t *testing.T) {
 						iter, base, ri, lin.rules[ri].String(pol.SIDs()), h1, h2)
 				}
 			}
-			if !reflect.DeepEqual(lin.logs, idx.logs) {
-				t.Fatalf("iter %d cfg %+v: LOG emissions differ\nlinear:   %+v\ncompiled: %+v", iter, base, lin.logs, idx.logs)
+			if linLogs, idxLogs := lin.logs(), idx.logs(); !reflect.DeepEqual(linLogs, idxLogs) {
+				t.Fatalf("iter %d cfg %+v: LOG emissions differ\nlinear:   %+v\ncompiled: %+v", iter, base, linLogs, idxLogs)
 			}
 			for pid, p := range lin.procs {
 				if !reflect.DeepEqual(p.ps.Dict, idx.procs[pid].ps.Dict) {

@@ -188,11 +188,15 @@ type Engine struct {
 	deltaCompiles atomic.Uint64
 	rollbacks     atomic.Uint64
 
-	// Logger receives LOG-target records; nil discards them.
-	Logger func(LogRecord)
-	// LogDenials additionally emits a record for every DROP verdict, the
-	// denial log the paper's operators review ("we noticed it later in our
-	// denial logs", Section 6.1.2).
+	// Log receives the LOG target's records, one span per logged access
+	// (paper Section 5.2: the LOG target "logs a variety of information
+	// about the current resource access in JSON format"); nil discards
+	// them. Its verdict filter applies: a DROP-only ring is a pure denial
+	// log.
+	Log *obs.SpanRing
+	// LogDenials additionally logs every DROP verdict into Log, the denial
+	// log the paper's operators review ("we noticed it later in our denial
+	// logs", Section 6.1.2).
 	LogDenials bool
 
 	Stats Stats
@@ -200,23 +204,6 @@ type Engine struct {
 	// obs is the attached observability instrumentation; nil (the default)
 	// costs the hot path one predictable branch. See AttachObs.
 	obs atomic.Pointer[engineObs]
-}
-
-// LogRecord is what the LOG target emits (paper Section 5.2: "logs a
-// variety of information about the current resource access in JSON
-// format"). The trace package serializes it.
-type LogRecord struct {
-	PID         int
-	SubjectSID  mac.SID
-	ObjectSID   mac.SID
-	Op          Op
-	ResourceID  uint64
-	Path        string
-	Entrypoints []Entrypoint
-	AdvWrite    bool
-	AdvRead     bool
-	Verdict     Verdict
-	Prefix      string
 }
 
 // New creates an engine over policy with the given optimization config.
@@ -459,37 +446,38 @@ func (e *Engine) evalRule(ctx *EvalCtx, r *Rule) Action {
 		if sp := ctx.Req.Span; sp != nil {
 			sp.Flags |= obs.SpanRuleDecided
 			sp.RuleFile = r.Src.File
-			sp.RuleLine = r.Src.Line
-			sp.RuleCol = r.Src.Col
+			sp.RuleLine = int32(r.Src.Line)
+			sp.RuleCol = int32(r.Src.Col)
 			sp.RuleTarget = r.Target.TargetName()
 		}
 	}
 	return act
 }
 
-// emitLog sends a record to the engine's logger.
+// emitLog records the current access into the engine's Log ring: the
+// shared span fields plus what LOG consumers key on — the innermost
+// entrypoint, the adversary bits and the prefix. The span is a stack
+// local copied into the ring, so logging allocates nothing.
 func (e *Engine) emitLog(ctx *EvalCtx, prefix string, v Verdict) {
-	if e.Logger == nil {
+	ring := e.Log
+	if ring == nil || !ring.Wants(v.String()) {
 		return
 	}
+	req := ctx.Req
 	if ob := e.obs.Load(); ob != nil {
-		ob.logEmissions.Add(ctx.Req.Proc.PID(), 1)
+		ob.logEmissions.Add(req.Proc.PID(), 1)
 	}
-	rec := LogRecord{
-		PID:        ctx.Req.Proc.PID(),
-		SubjectSID: ctx.Req.Proc.SubjectSID(),
-		Op:         ctx.Req.Op,
-		Verdict:    v,
-		Prefix:     prefix,
+	var sp obs.Span
+	fillSpan(&sp, e.policy.SIDs(), req, v, ctx.rs.version)
+	sp.Prefix = prefix
+	if entries, _ := ctx.Entrypoints(); len(entries) > 0 {
+		sp.Program, sp.Entrypoint = entries[0].Path, entries[0].Off
 	}
-	if ctx.Req.Obj != nil {
-		rec.ObjectSID = ctx.Req.Obj.SID()
-		rec.ResourceID = ctx.Req.Obj.ID()
-		rec.Path = ctx.Req.Obj.Path()
+	if ctx.AdversaryWritable() {
+		sp.Flags |= obs.SpanAdvWrite
 	}
-	entries, _ := ctx.Entrypoints()
-	rec.Entrypoints = entries
-	rec.AdvWrite = ctx.AdversaryWritable()
-	rec.AdvRead = ctx.AdversaryReadable()
-	e.Logger(rec)
+	if ctx.AdversaryReadable() {
+		sp.Flags |= obs.SpanAdvRead
+	}
+	ring.Record(&sp)
 }

@@ -383,8 +383,8 @@ func (t *StateTarget) Args() string {
 	return fmt.Sprintf("--set --key %#x --value %s", t.Key, val)
 }
 
-// LogTarget emits a LogRecord for the current access and continues; rule
-// generation consumes these records (paper Section 6.3).
+// LogTarget records the current access as a span into Engine.Log and
+// continues; rule generation consumes these records (paper Section 6.3).
 type LogTarget struct {
 	Prefix string
 }

@@ -1,6 +1,7 @@
 package pf
 
 import (
+	"pfirewall/internal/mac"
 	"pfirewall/internal/obs"
 )
 
@@ -11,14 +12,12 @@ type ObsConfig struct {
 	// are always exact — only the two timestamps per request are sampled,
 	// which is what keeps enabled-metrics overhead inside the ≤5% budget.
 	SampleEvery int
-	// RingSize is the per-verdict flight-recorder capacity (default 256).
-	RingSize int
-	// RecordAccepts also records ACCEPT verdicts into the accept ring.
-	// Off by default: accepts dominate by orders of magnitude and would
-	// only evict each other; DROPs — the events an operator reviews — are
-	// always recorded.
-	RecordAccepts bool
 }
+
+// flightCap is the capacity of the DROP flight recorder. Only DROPs are
+// recorded: accepts dominate by orders of magnitude and would only evict
+// each other, while the DROPs are what an operator reviews.
+const flightCap = 256
 
 // engineObs is the engine's attached instrumentation. Every series is
 // pre-registered and indexed directly by Op, so the Filter hot path does
@@ -34,10 +33,9 @@ type engineObs struct {
 	mediations [opCount][2]*obs.Counter // [op][verdict]
 	latency    [opCount]*obs.Histogram
 
-	logEmissions  *obs.Counter
-	dropRing      *obs.Ring
-	acceptRing    *obs.Ring
-	recordAccepts bool
+	logEmissions *obs.Counter
+	drops        *obs.SpanRing
+	sids         *mac.SIDTable // resolves the drop records' labels
 }
 
 // AttachObs registers the engine's metric series on reg and arms the
@@ -47,13 +45,10 @@ func (e *Engine) AttachObs(reg *obs.Registry, cfg ObsConfig) {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 16
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 256
-	}
 	ob := &engineObs{
-		reg:           reg,
-		sampleMask:    obs.SampleMask(cfg.SampleEvery),
-		recordAccepts: cfg.RecordAccepts,
+		reg:        reg,
+		sampleMask: obs.SampleMask(cfg.SampleEvery),
+		sids:       e.policy.SIDs(),
 	}
 	const medHelp = "Mediation requests by operation and verdict."
 	for op := Op(1); op < opCount; op++ {
@@ -67,8 +62,7 @@ func (e *Engine) AttachObs(reg *obs.Registry, cfg ObsConfig) {
 			obs.L("op", name))
 	}
 	ob.logEmissions = reg.Counter("pf_log_emissions_total", "LOG-target records emitted.")
-	ob.dropRing = reg.Ring("pf_flight_drop", cfg.RingSize)
-	ob.acceptRing = reg.Ring("pf_flight_accept", cfg.RingSize)
+	ob.drops = reg.SpanRing("pf_flight_drop", flightCap, VerdictDrop.String())
 
 	// Engine totals are already counted exactly by Stats; export them
 	// rather than double-counting on the hot path.
@@ -114,8 +108,8 @@ func (e *Engine) registerChainObs(name string) {
 
 // finish flushes one request's obs series. t0 is meaningful only when
 // sampled is true; chain is the start chain ("" on the empty-ruleset fast
-// path).
-func (ob *engineObs) finish(pid int, req *Request, v Verdict, sampled bool, t0 int64, chain string) {
+// path); version is the deciding snapshot's publish version.
+func (ob *engineObs) finish(pid int, req *Request, v Verdict, sampled bool, t0 int64, chain string, version uint64) {
 	op := req.Op
 	if op >= opCount {
 		op = OpInvalid
@@ -133,26 +127,33 @@ func (ob *engineObs) finish(pid int, req *Request, v Verdict, sampled bool, t0 i
 		}
 	}
 	if v == VerdictDrop {
-		ob.record(ob.dropRing, pid, req, v, chain)
-	} else if ob.recordAccepts {
-		ob.record(ob.acceptRing, pid, req, v, chain)
+		ob.recordDrop(req, chain, version)
 	}
 }
 
-// record appends one flight-recorder event.
-//
-//pflint:allow-fn — metrics-layer recording, active only when an observability sink is attached.
-func (ob *engineObs) record(ring *obs.Ring, pid int, req *Request, v Verdict, chain string) {
-	ev := obs.Event{
-		TimeUnixNano: obs.WallNano(obs.MonoNow()),
-		PID:          pid,
-		Op:           req.Op.String(),
-		Verdict:      v.String(),
-		Chain:        chain,
+// recordDrop fills a span for a DROP into the flight recorder. Kept out of
+// finish so the span is not part of the accept path's stack frame.
+func (ob *engineObs) recordDrop(req *Request, chain string, version uint64) {
+	var sp obs.Span
+	fillSpan(&sp, ob.sids, req, VerdictDrop, version)
+	if chain != "" {
+		sp.PushChain(chain)
 	}
+	ob.drops.Record(&sp)
+}
+
+// fillSpan stamps the record fields every engine-filled span shares: time,
+// identity, labels, verdict and the deciding snapshot's version. Every
+// string is interned or pre-existing, so it allocates nothing.
+func fillSpan(sp *obs.Span, sids *mac.SIDTable, req *Request, v Verdict, version uint64) {
+	sp.TimeUnixNano = obs.WallNano(obs.MonoNow())
+	sp.PID = req.Proc.PID()
+	sp.Op = req.Op.String() //pflint:allow — the Sprintf fallback formats only ops outside the name table, which never reach Filter
+	sp.Verdict = v.String()
+	sp.Version = version
+	sp.Subject = string(sids.Label(req.Proc.SubjectSID()))
 	if req.Obj != nil {
-		ev.Path = req.Obj.Path()
-		ev.ResourceID = req.Obj.ID()
+		sp.Object = string(sids.Label(req.Obj.SID()))
+		sp.Path = req.Obj.Path()
 	}
-	ring.Record(ev)
 }

@@ -52,7 +52,9 @@ const (
 	opCount
 )
 
-var opNames = map[Op]string{
+// opNames is indexed by Op, so String is one bounds-checked load: the
+// tracer and the flight recorder render an op name per recorded span.
+var opNames = [opCount]string{
 	OpFileOpen:      "FILE_OPEN",
 	OpFileRead:      "FILE_READ",
 	OpFileWrite:     "FILE_WRITE",
@@ -88,8 +90,8 @@ var opAliases = map[string]Op{
 //
 //pflint:allow-fn — diagnostic rendering, reached only from log/flight-record emission.
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o < opCount && opNames[o] != "" {
+		return opNames[o]
 	}
 	return fmt.Sprintf("OP(%d)", uint16(o))
 }
@@ -97,8 +99,8 @@ func (o Op) String() string {
 // ParseOp parses a rule-language operation name.
 func ParseOp(s string) (Op, error) {
 	for op, name := range opNames {
-		if name == s {
-			return op, nil
+		if name != "" && name == s {
+			return Op(op), nil
 		}
 	}
 	if op, ok := opAliases[s]; ok {

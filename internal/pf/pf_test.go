@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pfirewall/internal/mac"
+	"pfirewall/internal/obs"
 	"pfirewall/internal/ustack"
 )
 
@@ -735,8 +736,7 @@ func TestOpSetEmptyMatchesAll(t *testing.T) {
 func TestLogTarget(t *testing.T) {
 	pol := testPolicy()
 	e := New(pol, Optimized())
-	var records []LogRecord
-	e.Logger = func(r LogRecord) { records = append(records, r) }
+	e.Log = obs.NewSpanLog("")
 	e.Append("input", &Rule{
 		Ops:    NewOpSet(OpFileOpen),
 		Target: &LogTarget{Prefix: "audit"},
@@ -747,15 +747,42 @@ func TestLogTarget(t *testing.T) {
 	if v := e.Filter(&Request{Proc: proc, Op: OpFileOpen, Obj: obj}); v != VerdictAccept {
 		t.Fatal("LOG must not change the verdict")
 	}
+	records := e.Log.Snapshot()
 	if len(records) != 1 {
 		t.Fatalf("records = %d, want 1", len(records))
 	}
 	r := records[0]
-	if r.Prefix != "audit" || r.ResourceID != 12 || r.Path != "/tmp/x" || !r.AdvWrite {
+	if r.Prefix != "audit" || r.Object != "tmp_t" || r.Path != "/tmp/x" || r.Flags&obs.SpanAdvWrite == 0 {
 		t.Errorf("record = %+v", r)
 	}
-	if len(r.Entrypoints) == 0 {
-		t.Error("record should include entrypoints")
+	if r.Program == "" {
+		t.Error("record should include the innermost entrypoint")
+	}
+}
+
+// TestLogSpanResolvesLabels pins the LOG record's identity fields: labels
+// resolved to names (so traces mean something across systems), the
+// innermost entrypoint, the operation, verdict, prefix and the enforcing
+// ruleset version.
+func TestLogSpanResolvesLabels(t *testing.T) {
+	pol := testPolicy()
+	e := New(pol, Optimized())
+	e.Log = obs.NewSpanLog("")
+	e.Append("input", &Rule{Target: &LogTarget{Prefix: "audit"}})
+	proc := newFakeProc(9, sid(pol, "httpd_t"), "/usr/bin/apache2")
+	setupLdSo(t, proc)
+	obj := &fakeRes{sid: sid(pol, "tmp_t"), id: 5, path: "/tmp/x"}
+	e.Filter(&Request{Proc: proc, Op: OpFileOpen, Obj: obj})
+	recs := e.Log.Snapshot()
+	if len(recs) != 1 {
+		t.Fatal("no record collected")
+	}
+	r := recs[0]
+	if r.PID != 9 || r.Subject != "httpd_t" || r.Object != "tmp_t" ||
+		r.Program != "/lib/ld-2.15.so" || r.Entrypoint != 0x596b ||
+		r.Flags&obs.SpanAdvWrite == 0 || r.Op != "FILE_OPEN" || r.Verdict != "ACCEPT" ||
+		r.Prefix != "audit" || r.Version != e.Version() || r.Seq != 1 {
+		t.Errorf("record = %+v", r)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pfirewall/internal/mac"
+	"pfirewall/internal/obs"
 )
 
 // --- incremental-vs-full differential -----------------------------------
@@ -610,4 +611,57 @@ func TestPublishRollbackMediationStress(t *testing.T) {
 	}
 	t.Logf("stress: %d requests, %d publishes (%d delta, %d full, %d rollbacks)",
 		req, st.Publishes, st.DeltaCompiles, st.FullCompiles, st.Rollbacks)
+}
+
+// TestSpanVersionFollowsPublishAndRollback pins the version stamp every
+// engine-filled span carries: a request filtered after a publish names
+// that publish's version — on the traced span, the LOG record and the
+// DROP flight record alike — and after Rollback the restored snapshot's
+// older version.
+func TestSpanVersionFollowsPublishAndRollback(t *testing.T) {
+	pol := testPolicy()
+	e := New(pol, Optimized())
+	e.Log = obs.NewSpanLog("")
+	reg := obs.New()
+	e.AttachObs(reg, ObsConfig{})
+	proc := newFakeProc(1, sid(pol, "httpd_t"), "/usr/bin/apache2")
+	obj := &fakeRes{sid: sid(pol, "tmp_t"), path: "/tmp/x"}
+	filter := func() (Verdict, obs.Span, obs.Span) {
+		var sp obs.Span
+		v := e.Filter(&Request{Proc: proc, Op: OpFileOpen, Obj: obj, Span: &sp})
+		logs := e.Log.Snapshot()
+		return v, sp, logs[len(logs)-1]
+	}
+
+	if err := e.Append("mangle/input", &Rule{Target: &LogTarget{Prefix: "v"}}); err != nil {
+		t.Fatal(err)
+	}
+	v1 := e.Version()
+	if _, sp, lr := filter(); sp.Version != v1 || lr.Version != v1 {
+		t.Fatalf("after publish v%d: span v%d, log v%d", v1, sp.Version, lr.Version)
+	}
+
+	if err := e.Append("input", &Rule{Ops: NewOpSet(OpFileOpen), Target: Drop()}); err != nil {
+		t.Fatal(err)
+	}
+	v2 := e.Version()
+	if v2 <= v1 {
+		t.Fatalf("publish did not advance the version: %d -> %d", v1, v2)
+	}
+	v, sp, lr := filter()
+	if v != VerdictDrop || sp.Version != v2 || lr.Version != v2 {
+		t.Fatalf("after publish v%d: verdict %v, span v%d, log v%d", v2, v, sp.Version, lr.Version)
+	}
+	drops := reg.JSON().Spans["pf_flight_drop"].Recent
+	if len(drops) != 1 || drops[0].Version != v2 {
+		t.Fatalf("flight record = %+v, want one DROP at v%d", drops, v2)
+	}
+
+	restored, err := e.Rollback()
+	if err != nil || restored != v1 {
+		t.Fatalf("Rollback = %d, %v; want v%d", restored, err, v1)
+	}
+	if v, sp, lr := filter(); v != VerdictAccept || sp.Version != v1 || lr.Version != v1 {
+		t.Fatalf("after rollback to v%d: verdict %v, span v%d, log v%d", v1, v, sp.Version, lr.Version)
+	}
 }

@@ -88,18 +88,30 @@ func (r *tSockRes) SockNS() (string, bool)          { return r.ns, r.nsOK }
 func (r *tSockRes) SockPort() (uint16, bool)        { return r.port, r.portOK }
 func (r *tSockRes) PeerCred() (int, int, int, bool) { return r.peerPID, r.peerUID, r.peerGID, r.peerOK }
 
+// entryProbe is a continue-only target that captures the entrypoint list
+// the engine unwound for the request.
+type entryProbe struct{ entries []pf.Entrypoint }
+
+func (p *entryProbe) TargetName() string { return "PROBE" }
+func (p *entryProbe) Needs() pf.CtxKind  { return pf.CtxEntrypoints }
+func (p *entryProbe) Args() string       { return "" }
+func (p *entryProbe) Fire(ctx *pf.EvalCtx) pf.Action {
+	eps, _ := ctx.Entrypoints()
+	p.entries = append([]pf.Entrypoint(nil), eps...)
+	return pf.Action{}
+}
+
 // probeEntries learns the exact entrypoint list the engine would unwind for
 // req's process by running it through a throwaway engine whose only rule is
-// an unconditional LOG in mangle/input.
+// an unconditional entrypoint probe in mangle/input.
 func probeEntries(pol *mac.Policy, req *pf.Request) []pf.Entrypoint {
 	probe := pf.New(pol, pf.Optimized())
-	if err := probe.Append("mangle/input", &pf.Rule{Target: &pf.LogTarget{Prefix: "probe"}}); err != nil {
+	target := &entryProbe{}
+	if err := probe.Append("mangle/input", &pf.Rule{Target: target}); err != nil {
 		panic(err)
 	}
-	var entries []pf.Entrypoint
-	probe.Logger = func(rec pf.LogRecord) { entries = rec.Entrypoints }
 	probe.Filter(req)
-	return entries
+	return target.entries
 }
 
 // ctxFor translates a concrete request into the exact abstract point the

@@ -183,8 +183,6 @@ type WorldOpts struct {
 	// TraceEvery enables decision-provenance tracing, sampling one syscall
 	// in TraceEvery (0 disables; requires Obs).
 	TraceEvery int
-	// TraceRing overrides the span flight-recorder capacity (default 256).
-	TraceRing int
 }
 
 // NewWorld builds the standard simulated system.
@@ -211,7 +209,6 @@ func NewWorld(opts WorldOpts) *World {
 		k.AttachObs(opts.Obs, kernel.ObsConfig{
 			SampleEvery: opts.ObsEvery,
 			TraceEvery:  opts.TraceEvery,
-			TraceRing:   opts.TraceRing,
 		})
 	}
 	w.populate(opts)

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"pfirewall/internal/obs"
 	"pfirewall/internal/trace"
 )
 
@@ -40,8 +41,13 @@ func (c Class) String() string {
 	}
 }
 
+// lowIntegrity reports whether the accessed resource was
+// adversary-modifiable, the paper's low-integrity criterion for
+// classification (Section 6.3.1).
+func lowIntegrity(sp *obs.Span) bool { return sp.Flags&obs.SpanAdvWrite != 0 }
+
 // classify returns the class of the first n records (n<=0 means all).
-func classify(recs []trace.Record, n int) Class {
+func classify(recs []*obs.Span, n int) Class {
 	if n <= 0 || n > len(recs) {
 		n = len(recs)
 	}
@@ -50,7 +56,7 @@ func classify(recs []trace.Record, n int) Class {
 	}
 	sawHigh, sawLow := false, false
 	for _, r := range recs[:n] {
-		if r.LowIntegrity() {
+		if lowIntegrity(r) {
 			sawLow = true
 		} else {
 			sawHigh = true
@@ -85,8 +91,8 @@ var PaperThresholds = []int{0, 5, 10, 50, 100, 500, 1000, 1149, 5000}
 // high- or low-only; a produced rule is a false positive if the
 // entrypoint's full-trace class is both (the rule would deny a valid
 // access observed later in the trace).
-func Table8(s *trace.Store, thresholds []int) []Table8Row {
-	byEp := s.ByEntrypoint()
+func Table8(spans []obs.Span, thresholds []int) []Table8Row {
+	byEp := trace.ByEntrypoint(spans)
 	rows := make([]Table8Row, 0, len(thresholds))
 	for _, t := range thresholds {
 		row := Table8Row{Threshold: t}
@@ -111,13 +117,6 @@ func Table8(s *trace.Store, thresholds []int) []Table8Row {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FormatTable8 renders rows in the paper's layout.
@@ -146,8 +145,8 @@ type Suggestion struct {
 // (the paper's generalization: deny all adversary-accessible resources for
 // the entrypoint). Low-only entrypoints are the link-following direction
 // and get the inverse suggestion.
-func SuggestRules(s *trace.Store, threshold int) []Suggestion {
-	byEp := s.ByEntrypoint()
+func SuggestRules(spans []obs.Span, threshold int) []Suggestion {
+	byEp := trace.ByEntrypoint(spans)
 	var out []Suggestion
 	for ep, recs := range byEp {
 		if len(recs) < threshold {
@@ -159,7 +158,7 @@ func SuggestRules(s *trace.Store, threshold int) []Suggestion {
 		}
 		// One rule per operation observed at the entrypoint, each confined
 		// to the labels that operation legitimately used.
-		byOp := map[string][]trace.Record{}
+		byOp := map[string][]*obs.Span{}
 		var ops []string
 		for _, r := range recs {
 			if _, ok := byOp[r.Op]; !ok {
@@ -197,11 +196,11 @@ func SuggestRules(s *trace.Store, threshold int) []Suggestion {
 }
 
 // observedLabels returns the sorted distinct object labels in recs.
-func observedLabels(recs []trace.Record) []string {
+func observedLabels(recs []*obs.Span) []string {
 	set := map[string]bool{}
 	for _, r := range recs {
-		if r.ObjectLabel != "" {
-			set[r.ObjectLabel] = true
+		if r.Object != "" {
+			set[r.Object] = true
 		}
 	}
 	out := make([]string, 0, len(set))

@@ -4,38 +4,45 @@ import (
 	"strings"
 	"testing"
 
+	"pfirewall/internal/obs"
 	"pfirewall/internal/pf"
 	"pfirewall/internal/pftables"
 	"pfirewall/internal/programs"
-	"pfirewall/internal/trace"
 )
 
 // mkRecs builds a record sequence for one entrypoint: 'h' = high access,
 // 'l' = low access.
-func mkRecs(prog string, off uint64, pattern string) []trace.Record {
-	var out []trace.Record
+func mkRecs(prog string, off uint64, pattern string) []obs.Span {
+	var out []obs.Span
 	for i, c := range pattern {
-		r := trace.Record{
+		r := obs.Span{
 			Program: prog, Entrypoint: off, Op: "FILE_OPEN",
-			ObjectLabel: "lib_t", ResourceID: uint64(i),
+			Object: "lib_t", Seq: uint64(i),
 		}
 		if c == 'l' {
-			r.ObjectLabel = "tmp_t"
-			r.AdvWrite = true
+			r.Object = "tmp_t"
+			r.Flags = obs.SpanAdvWrite
 		}
 		out = append(out, r)
 	}
 	return out
 }
 
-func storeOf(groups ...[]trace.Record) *trace.Store {
-	s := trace.NewStore()
+func storeOf(groups ...[]obs.Span) []obs.Span {
+	var s []obs.Span
 	for _, g := range groups {
-		for _, r := range g {
-			s.Add(r)
-		}
+		s = append(s, g...)
 	}
 	return s
+}
+
+// ptrs points at each span, the shape classify consumes.
+func ptrs(spans []obs.Span) []*obs.Span {
+	out := make([]*obs.Span, len(spans))
+	for i := range spans {
+		out[i] = &spans[i]
+	}
+	return out
 }
 
 func TestClassify(t *testing.T) {
@@ -53,7 +60,7 @@ func TestClassify(t *testing.T) {
 	}
 	for _, c := range cases {
 		recs := mkRecs("/p", 1, c.pattern)
-		if got := classify(recs, c.n); got != c.want {
+		if got := classify(ptrs(recs), c.n); got != c.want {
 			t.Errorf("classify(%q, %d) = %v, want %v", c.pattern, c.n, got, c.want)
 		}
 	}
@@ -140,7 +147,7 @@ func TestTable8SyntheticMatchesPaperShape(t *testing.T) {
 	}
 
 	// The trace is deployment-scale: the paper reports ~410k entries.
-	if n := s.Len(); n < 200000 || n > 700000 {
+	if n := len(s); n < 200000 || n > 700000 {
 		t.Errorf("synthetic trace has %d entries, want roughly 410k", n)
 	}
 
@@ -157,12 +164,11 @@ func TestTable8SyntheticMatchesPaperShape(t *testing.T) {
 func TestSyntheticDeterministic(t *testing.T) {
 	a := SyntheticDeployment(7)
 	b := SyntheticDeployment(7)
-	if a.Len() != b.Len() {
-		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
+	if len(a) != len(b) {
+		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
-	ra, rb := a.Records(), b.Records()
-	for i := range ra {
-		if ra[i] != rb[i] {
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatalf("record %d differs", i)
 		}
 	}

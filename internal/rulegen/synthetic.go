@@ -3,7 +3,7 @@ package rulegen
 import (
 	"fmt"
 
-	"pfirewall/internal/trace"
+	"pfirewall/internal/obs"
 )
 
 // This file synthesizes the two-week deployment runtime trace of paper
@@ -89,8 +89,9 @@ const (
 	SynTotalEps = SynPureHigh + SynPureLow + SynBoth // 5234
 )
 
-// SyntheticDeployment generates the synthetic two-week trace.
-func SyntheticDeployment(seed uint64) *trace.Store {
+// SyntheticDeployment generates the synthetic two-week trace, one LOG
+// span per invocation, in an exactly-sized slice.
+func SyntheticDeployment(seed uint64) []obs.Span {
 	rng := &xorshift64{s: seed | 1}
 	var specs []epSpec
 
@@ -135,10 +136,12 @@ func SyntheticDeployment(seed uint64) *trace.Store {
 	}
 
 	// Emit records. Interleaving across entrypoints is irrelevant to the
-	// analysis (classification is per entrypoint), so emit grouped. The
-	// deployment-scale trace (~410k records) exceeds the store's default
-	// ring capacity, so size it explicitly.
-	s := trace.NewStoreCapacity(1 << 20)
+	// analysis (classification is per entrypoint), so emit grouped.
+	n := 0
+	for _, sp := range specs {
+		n += sp.invokes
+	}
+	out := make([]obs.Span, 0, n)
 	for _, sp := range specs {
 		for inv := 1; inv <= sp.invokes; inv++ {
 			low := sp.startLow
@@ -149,24 +152,24 @@ func SyntheticDeployment(seed uint64) *trace.Store {
 					low = !sp.startLow
 				}
 			}
-			obj, adv := "lib_t", false
-			if low {
-				obj, adv = "tmp_t", true
+			rec := obs.Span{
+				Seq:        uint64(len(out) + 1),
+				PID:        1,
+				Op:         "FILE_OPEN",
+				Verdict:    "ACCEPT",
+				Subject:    "syshigh_t",
+				Object:     "lib_t",
+				Program:    sp.program,
+				Entrypoint: sp.off,
 			}
-			s.Add(trace.Record{
-				PID:          1,
-				SubjectLabel: "syshigh_t",
-				ObjectLabel:  obj,
-				Op:           "FILE_OPEN",
-				ResourceID:   uint64(inv),
-				Program:      sp.program,
-				Entrypoint:   sp.off,
-				AdvWrite:     adv,
-				Verdict:      "ACCEPT",
-			})
+			if low {
+				rec.Object = "tmp_t"
+				rec.Flags = obs.SpanAdvWrite
+			}
+			out = append(out, rec)
 		}
 	}
-	return s
+	return out
 }
 
 // ScaleSizes are the rule-base sizes the rule-scaling benchmark sweeps:

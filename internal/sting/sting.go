@@ -27,9 +27,9 @@ import (
 	"strings"
 
 	"pfirewall/internal/kernel"
+	"pfirewall/internal/obs"
 	"pfirewall/internal/programs"
 	"pfirewall/internal/rulegen"
-	"pfirewall/internal/trace"
 	"pfirewall/internal/vfs"
 )
 
@@ -111,8 +111,8 @@ func (t *Tester) FindSurfaces(wl Workload) ([]Surface, error) {
 	if w.Engine == nil {
 		return nil, errors.New("sting: workload world must have a firewall for tracing")
 	}
-	store := trace.NewStore()
-	w.Engine.Logger = store.Collector(w.K.Policy.SIDs())
+	log := obs.NewSpanLog("")
+	w.Engine.Log = log
 	if err := installLogAll(w); err != nil {
 		return nil, err
 	}
@@ -122,11 +122,11 @@ func (t *Tester) FindSurfaces(wl Workload) ([]Surface, error) {
 
 	seen := map[Surface]bool{}
 	var out []Surface
-	for _, r := range store.Records() {
+	for _, r := range log.Snapshot() {
 		// A binding is attackable if the adversary can modify it — the
 		// record's own adversary-accessibility bit, restricted to named
 		// filesystem resources.
-		if !r.AdvWrite || r.Path == "" || r.Program == "" {
+		if r.Flags&obs.SpanAdvWrite == 0 || r.Path == "" || r.Program == "" {
 			continue
 		}
 		s := Surface{Path: r.Path, Program: r.Program, Entrypoint: r.Entrypoint, Op: r.Op}

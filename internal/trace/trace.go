@@ -1,7 +1,8 @@
-// Package trace implements the Process Firewall's LOG record stream
+// Package trace reads and writes the Process Firewall's LOG record stream
 // (paper Section 5.2: the LOG target "logs a variety of information about
-// the current resource access in JSON format") and the trace store that
-// rule generation consumes (Section 6.3).
+// the current resource access in JSON format") and groups it per
+// entrypoint for rule generation (Section 6.3). A record is an obs.Span in
+// its JSON-lines wire schema, the same schema the span stream carries.
 package trace
 
 import (
@@ -9,30 +10,35 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
-	"pfirewall/internal/mac"
-	"pfirewall/internal/pf"
+	"pfirewall/internal/obs"
 )
 
-// Record is one logged resource access, the JSON form of pf.LogRecord with
-// labels resolved to names so traces are meaningful across systems.
-type Record struct {
-	PID          int    `json:"pid"`
-	SubjectLabel string `json:"subject"`
-	ObjectLabel  string `json:"object"`
-	Op           string `json:"op"`
-	ResourceID   uint64 `json:"resource_id"`
-	Path         string `json:"path,omitempty"`
-	// Program and Entrypoint identify the innermost resolved entrypoint.
-	Program    string `json:"program"`
-	Entrypoint uint64 `json:"entrypoint"`
-	// AdvWrite / AdvRead are the adversary accessibility of the resource —
-	// what classification keys on (low integrity = adversary writable).
-	AdvWrite bool   `json:"adv_write"`
-	AdvRead  bool   `json:"adv_read"`
-	Verdict  string `json:"verdict"`
-	Prefix   string `json:"prefix,omitempty"`
+// WriteJSON streams spans as JSON lines.
+func WriteJSON(w io.Writer, spans []obs.Span) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for i := range spans {
+		if err := enc.Encode(&spans[i]); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// ReadJSON loads JSON-lines spans, in file order.
+func ReadJSON(r io.Reader) ([]obs.Span, error) {
+	var out []obs.Span
+	dec := json.NewDecoder(bufio.NewReader(r))
+	for {
+		var sp obs.Span
+		if err := dec.Decode(&sp); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("trace: decode: %w", err)
+		}
+		out = append(out, sp)
+	}
 }
 
 // EpKey identifies an entrypoint: the program (or library/script) and the
@@ -42,150 +48,18 @@ type EpKey struct {
 	Off     uint64
 }
 
-// Ep returns the record's entrypoint key.
-func (r Record) Ep() EpKey { return EpKey{r.Program, r.Entrypoint} }
+// Ep returns the span's entrypoint key.
+func Ep(sp *obs.Span) EpKey { return EpKey{sp.Program, sp.Entrypoint} }
 
-// LowIntegrity reports whether the accessed resource was
-// adversary-modifiable, the paper's low-integrity criterion for
-// classification (Section 6.3.1).
-func (r Record) LowIntegrity() bool { return r.AdvWrite }
-
-// DefaultCapacity bounds a Store created with NewStore. 65536 records is
-// plenty for a rule-generation profiling run (the paper's traces are per
-// entrypoint invocation) while capping a LOG-heavy workload at a few tens
-// of megabytes instead of unbounded growth.
-const DefaultCapacity = 1 << 16
-
-// Store accumulates records in arrival order with ring semantics: once
-// the capacity is reached, the oldest records are evicted. Safe for
-// concurrent use.
-type Store struct {
-	mu      sync.Mutex
-	cap     int
-	start   int // index of the oldest record once wrapped
-	wrapped bool
-	evicted uint64
-	recs    []Record
-}
-
-// NewStore returns an empty store with DefaultCapacity.
-func NewStore() *Store { return NewStoreCapacity(DefaultCapacity) }
-
-// NewStoreCapacity returns an empty store holding the last capacity
-// records (minimum 1).
-func NewStoreCapacity(capacity int) *Store {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Store{cap: capacity}
-}
-
-// Add appends a record, evicting the oldest once the store is full.
-func (s *Store) Add(r Record) {
-	s.mu.Lock() //pflint:allow — denial-log ingestion: runs only when a rule LOGs or a request drops, never on the steady-state accept path
-	defer s.mu.Unlock()
-	if s.cap == 0 {
-		s.cap = DefaultCapacity // zero-value Store
-	}
-	if len(s.recs) < s.cap {
-		s.recs = append(s.recs, r)
-		return
-	}
-	s.recs[s.start] = r
-	s.start = (s.start + 1) % s.cap
-	s.wrapped = true
-	s.evicted++
-}
-
-// Len returns the number of retained records.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.recs)
-}
-
-// Evicted returns how many records ring eviction has discarded.
-func (s *Store) Evicted() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evicted
-}
-
-// Records returns the retained records, oldest first.
-func (s *Store) Records() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Record, len(s.recs))
-	if !s.wrapped {
-		copy(out, s.recs)
-		return out
-	}
-	n := copy(out, s.recs[s.start:])
-	copy(out[n:], s.recs[:s.start])
-	return out
-}
-
-// Collector returns a pf.Engine logger that records into the store,
-// resolving SIDs against tbl. Attach with engine.Logger = store.Collector(tbl).
-func (s *Store) Collector(tbl *mac.SIDTable) func(pf.LogRecord) {
-	return func(lr pf.LogRecord) {
-		rec := Record{
-			PID:          lr.PID,
-			SubjectLabel: string(tbl.Label(lr.SubjectSID)),
-			ObjectLabel:  string(tbl.Label(lr.ObjectSID)),
-			Op:           lr.Op.String(),
-			ResourceID:   lr.ResourceID,
-			Path:         lr.Path,
-			AdvWrite:     lr.AdvWrite,
-			AdvRead:      lr.AdvRead,
-			Verdict:      lr.Verdict.String(),
-			Prefix:       lr.Prefix,
-		}
-		// The innermost non-interpreter frame is the program entrypoint;
-		// interpreter frames, when present, refine it.
-		for _, ep := range lr.Entrypoints {
-			rec.Program, rec.Entrypoint = ep.Path, ep.Off
-			break
-		}
-		s.Add(rec)
-	}
-}
-
-// WriteJSON streams the store as JSON lines.
-func (s *Store) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, r := range s.Records() {
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSON loads JSON-lines records into a new store.
-func ReadJSON(r io.Reader) (*Store, error) {
-	s := NewStore()
-	dec := json.NewDecoder(bufio.NewReader(r))
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
-			return s, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: decode: %w", err)
-		}
-		s.Add(rec)
-	}
-}
-
-// ByEntrypoint groups the store's records per entrypoint, preserving
-// per-entrypoint order (one record = one invocation, per the paper's
-// definition "one invocation is one system call").
-func (s *Store) ByEntrypoint() map[EpKey][]Record {
-	out := make(map[EpKey][]Record)
-	for _, r := range s.Records() {
-		k := r.Ep()
-		out[k] = append(out[k], r)
+// ByEntrypoint groups spans per entrypoint, preserving per-entrypoint
+// order (one record = one invocation, per the paper's definition "one
+// invocation is one system call"). The groups point into spans, which
+// must outlive them.
+func ByEntrypoint(spans []obs.Span) map[EpKey][]*obs.Span {
+	out := make(map[EpKey][]*obs.Span)
+	for i := range spans {
+		k := Ep(&spans[i])
+		out[k] = append(out[k], &spans[i])
 	}
 	return out
 }

@@ -4,35 +4,33 @@ import (
 	"bytes"
 	"testing"
 
-	"pfirewall/internal/mac"
-	"pfirewall/internal/pf"
+	"pfirewall/internal/obs"
 )
 
 func TestStoreRoundTripJSON(t *testing.T) {
-	s := NewStore()
-	s.Add(Record{PID: 1, SubjectLabel: "httpd_t", ObjectLabel: "tmp_t",
-		Op: "FILE_OPEN", ResourceID: 42, Program: "/usr/bin/apache2",
-		Entrypoint: 0x41a20, AdvWrite: true, Verdict: "ACCEPT"})
-	s.Add(Record{PID: 2, SubjectLabel: "sshd_t", ObjectLabel: "etc_t",
-		Op: "FILE_READ", ResourceID: 7, Program: "/usr/sbin/sshd",
-		Entrypoint: 0x100, Verdict: "DROP"})
+	spans := []obs.Span{
+		{PID: 1, Subject: "httpd_t", Object: "tmp_t",
+			Op: "FILE_OPEN", Program: "/usr/bin/apache2",
+			Entrypoint: 0x41a20, Flags: obs.SpanAdvWrite, Verdict: "ACCEPT"},
+		{PID: 2, Subject: "sshd_t", Object: "etc_t",
+			Op: "FILE_READ", Program: "/usr/sbin/sshd",
+			Entrypoint: 0x100, Verdict: "DROP"},
+	}
 
 	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Len() != 2 {
-		t.Fatalf("loaded %d records", loaded.Len())
+	if len(loaded) != 2 {
+		t.Fatalf("loaded %d records", len(loaded))
 	}
-	got := loaded.Records()
-	want := s.Records()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("record %d: %+v != %+v", i, got[i], want[i])
+	for i := range spans {
+		if loaded[i] != spans[i] {
+			t.Errorf("record %d: %+v != %+v", i, loaded[i], spans[i])
 		}
 	}
 }
@@ -44,88 +42,27 @@ func TestReadJSONBadInput(t *testing.T) {
 }
 
 func TestByEntrypointGroupsInOrder(t *testing.T) {
-	s := NewStore()
+	var spans []obs.Span
 	for i := 0; i < 5; i++ {
-		s.Add(Record{Program: "/a", Entrypoint: 1, ResourceID: uint64(i)})
-		s.Add(Record{Program: "/b", Entrypoint: 2, ResourceID: uint64(100 + i)})
+		spans = append(spans,
+			obs.Span{Program: "/a", Entrypoint: 1, Seq: uint64(i)},
+			obs.Span{Program: "/b", Entrypoint: 2, Seq: uint64(100 + i)})
 	}
-	groups := s.ByEntrypoint()
+	groups := ByEntrypoint(spans)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d", len(groups))
 	}
 	a := groups[EpKey{"/a", 1}]
 	for i, r := range a {
-		if r.ResourceID != uint64(i) {
-			t.Errorf("group order broken: %d -> %d", i, r.ResourceID)
+		if r.Seq != uint64(i) {
+			t.Errorf("group order broken: %d -> %d", i, r.Seq)
 		}
-	}
-}
-
-func TestCollectorConvertsLogRecords(t *testing.T) {
-	tbl := mac.NewSIDTable()
-	httpd := tbl.SID("httpd_t")
-	tmp := tbl.SID("tmp_t")
-	s := NewStore()
-	logger := s.Collector(tbl)
-	logger(pf.LogRecord{
-		PID: 9, SubjectSID: httpd, ObjectSID: tmp, Op: pf.OpFileOpen,
-		ResourceID: 5, Path: "/tmp/x", AdvWrite: true,
-		Entrypoints: []pf.Entrypoint{{Path: "/usr/bin/apache2", Off: 0x41a20}},
-		Verdict:     pf.VerdictAccept, Prefix: "audit",
-	})
-	recs := s.Records()
-	if len(recs) != 1 {
-		t.Fatal("no record collected")
-	}
-	r := recs[0]
-	if r.SubjectLabel != "httpd_t" || r.ObjectLabel != "tmp_t" ||
-		r.Program != "/usr/bin/apache2" || r.Entrypoint != 0x41a20 ||
-		!r.AdvWrite || r.Op != "FILE_OPEN" || r.Prefix != "audit" {
-		t.Errorf("record = %+v", r)
-	}
-	if !r.LowIntegrity() {
-		t.Error("adv-writable record must be low integrity")
 	}
 }
 
 func TestEpKey(t *testing.T) {
-	r := Record{Program: "/x", Entrypoint: 7}
-	if r.Ep() != (EpKey{"/x", 7}) {
+	r := obs.Span{Program: "/x", Entrypoint: 7}
+	if Ep(&r) != (EpKey{"/x", 7}) {
 		t.Error("Ep mismatch")
-	}
-}
-
-func TestStoreRingEviction(t *testing.T) {
-	s := NewStoreCapacity(3)
-	for i := 1; i <= 5; i++ {
-		s.Add(Record{PID: i})
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	if s.Evicted() != 2 {
-		t.Fatalf("Evicted = %d, want 2", s.Evicted())
-	}
-	recs := s.Records()
-	for i, r := range recs {
-		if r.PID != i+3 {
-			t.Fatalf("Records() = %v, want pids 3,4,5", recs)
-		}
-	}
-	// Under capacity: order preserved, nothing evicted.
-	s2 := NewStoreCapacity(10)
-	s2.Add(Record{PID: 1})
-	s2.Add(Record{PID: 2})
-	if got := s2.Records(); len(got) != 2 || got[0].PID != 1 || got[1].PID != 2 {
-		t.Fatalf("under-capacity Records() = %v", got)
-	}
-	if s2.Evicted() != 0 {
-		t.Fatal("nothing should be evicted under capacity")
-	}
-	// The zero value and NewStore use the documented default.
-	var zero Store
-	zero.Add(Record{PID: 1})
-	if zero.Len() != 1 {
-		t.Fatal("zero-value store must accept records")
 	}
 }

@@ -53,11 +53,11 @@ func TestObservabilityIntegration(t *testing.T) {
 
 	// The blocked attack must land in the flight recorder with its
 	// identity intact.
-	drops := snap.Rings["pf_flight_drop"]
-	if drops.Total < 1 || len(drops.Events) == 0 {
+	drops := snap.Spans["pf_flight_drop"]
+	if drops.Total < 1 || len(drops.Recent) == 0 {
 		t.Fatalf("flight recorder empty after a DROP: %+v", drops)
 	}
-	ev := drops.Events[len(drops.Events)-1]
+	ev := drops.Recent[len(drops.Recent)-1]
 	if ev.Verdict != "DROP" || ev.Path != "/tmp/innocent" {
 		t.Errorf("drop event = %+v, want DROP of /tmp/innocent", ev)
 	}

@@ -50,7 +50,6 @@ import (
 	"pfirewall/internal/pftables"
 	"pfirewall/internal/programs"
 	"pfirewall/internal/rulegen"
-	"pfirewall/internal/trace"
 )
 
 // Aliases exposing the simulation's core types through the public package.
@@ -73,8 +72,8 @@ type (
 	Label = mac.Label
 	// Policy is the MAC policy with adversary accessibility.
 	Policy = mac.Policy
-	// TraceStore accumulates LOG records for rule generation.
-	TraceStore = trace.Store
+	// TraceStore accumulates LOG records (spans) for rule generation.
+	TraceStore = obs.SpanRing
 	// Table8Row is one row of the rule-generation study.
 	Table8Row = rulegen.Table8Row
 )
@@ -113,7 +112,7 @@ type Options struct {
 	// WebTreeDepth controls the depth of the prebuilt web content tree
 	// used by the path-length experiments.
 	WebTreeDepth int
-	// CollectTrace attaches a trace store and a system-wide LOG rule so
+	// CollectTrace attaches a LOG span ring and a system-wide LOG rule so
 	// every resource access is recorded for rule generation.
 	CollectTrace bool
 	// Observability attaches the lock-free metrics layer (internal/obs):
@@ -158,8 +157,8 @@ func NewSystem(opts Options) *System {
 	w := programs.NewWorld(wopts)
 	sys := &System{world: w, obs: wopts.Obs}
 	if opts.CollectTrace && w.Engine != nil {
-		sys.Trace = trace.NewStore()
-		w.Engine.Logger = sys.Trace.Collector(w.K.Policy.SIDs())
+		sys.Trace = obs.NewSpanLog("")
+		w.Engine.Log = sys.Trace
 		w.Engine.Append("input", &pf.Rule{Target: &pf.LogTarget{Prefix: "trace"}})
 	}
 	return sys
@@ -234,7 +233,7 @@ func (s *System) SuggestRules(threshold int) ([]string, error) {
 		return nil, fmt.Errorf("pfirewall: system was not created with CollectTrace")
 	}
 	var out []string
-	for _, sug := range rulegen.SuggestRules(s.Trace, threshold) {
+	for _, sug := range rulegen.SuggestRules(s.Trace.Snapshot(), threshold) {
 		out = append(out, sug.Rule)
 	}
 	return out, nil
